@@ -21,7 +21,7 @@ constexpr int kBatches = 4;
 const std::size_t kBatchSizes[] = {256, 512, 1024, 2048, 4096, 8192};
 
 struct Times {
-    double ours = 0, ours_async = 0, combblas = 0, ctf = 0, petsc = 0;
+    double ours = 0, combblas = 0, ctf = 0, petsc = 0;
 };
 
 Times run_one(const Instance& inst, std::size_t batch_size) {
@@ -31,11 +31,7 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
         const index_t n = index_t{1} << inst.scale;
         EdgeStream stream(instance_edges(inst, comm.rank(), kRanks, 21));
 
-        // Two copies of our matrix so the sync and async comm paths apply the
-        // identical batch stream to identical state.
         auto A = core::build_dynamic_matrix<sparse::PlusTimes<double>>(
-            grid, n, n, stream.initial);
-        auto A_async = core::build_dynamic_matrix<sparse::PlusTimes<double>>(
             grid, n, n, stream.initial);
         baseline::StaticRebuildMatrix<double> combblas(grid, n, n);
         combblas.construct<sparse::PlusTimes<double>>(stream.initial);
@@ -44,18 +40,12 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
         baseline::PreallocCsrMatrix<double> petsc(grid, n, n);
         petsc.construct<sparse::PlusTimes<double>>(stream.initial);
 
-        double ours = 0, ours_async = 0, cb = 0, ct = 0, pe = 0;
+        double ours = 0, cb = 0, ct = 0, pe = 0;
         for (int b = 0; b < kBatches; ++b) {
             auto batch = stream.batch(static_cast<std::size_t>(b), batch_size);
             ours += timed_ms(comm, [&] {
                 auto U = core::build_update_matrix(grid, n, n, batch);
                 core::add_update<sparse::PlusTimes<double>>(A, U);
-            });
-            ours_async += timed_ms(comm, [&] {
-                auto U = core::build_update_matrix(
-                    grid, n, n, batch, core::RedistMode::TwoPhase,
-                    par::CommMode::Async);
-                core::add_update<sparse::PlusTimes<double>>(A_async, U);
             });
             cb += timed_ms(comm, [&] {
                 combblas.insert_batch<sparse::PlusTimes<double>>(batch);
@@ -68,8 +58,8 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
             });
         }
         if (comm.rank() == 0)
-            t = {ours / kBatches, ours_async / kBatches, cb / kBatches,
-                 ct / kBatches, pe / kBatches};
+            t = {ours / kBatches, cb / kBatches, ct / kBatches,
+                 pe / kBatches};
     });
     return t;
 }
@@ -79,58 +69,36 @@ Times run_one(const Instance& inst, std::size_t batch_size) {
 int main() {
     print_header("Figure 4: mean insertion time vs batch size (per rank)",
                  "Fig. 4");
-    std::printf("%-10s | %9s %9s %9s %9s %9s | %9s %7s %7s\n", "batch",
-                "ours", "async", "CombBLAS", "CTF", "PETSc", "vs CombB",
-                "vs CTF", "vs PETSc");
-    double gain_sum = 0;
-    int gain_count = 0;
+    std::printf("%-10s | %9s %9s %9s %9s | %9s %7s %7s\n", "batch", "ours",
+                "CombBLAS", "CTF", "PETSc", "vs CombB", "vs CTF", "vs PETSc");
     for (std::size_t bs : kBatchSizes) {
         Times mean;
         int count = 0;
         for (const auto& inst : representative_instances()) {
             const Times t = run_one(inst, bs);
             mean.ours += t.ours;
-            mean.ours_async += t.ours_async;
             mean.combblas += t.combblas;
             mean.ctf += t.ctf;
             mean.petsc += t.petsc;
             ++count;
         }
         mean.ours /= count;
-        mean.ours_async /= count;
         mean.combblas /= count;
         mean.ctf /= count;
         mean.petsc /= count;
-        if (mean.ours_async > 0) {
-            gain_sum += mean.ours / mean.ours_async;
-            ++gain_count;
-        }
         std::printf(
-            "%-10zu | %7.2fms %7.2fms %7.2fms %7.2fms %7.2fms | %8.1fx %6.1fx %6.1fx\n",
-            bs, mean.ours, mean.ours_async, mean.combblas, mean.ctf,
-            mean.petsc, mean.combblas / mean.ours, mean.ctf / mean.ours,
+            "%-10zu | %7.2fms %7.2fms %7.2fms %7.2fms | %8.1fx %6.1fx %6.1fx\n",
+            bs, mean.ours, mean.combblas, mean.ctf, mean.petsc,
+            mean.combblas / mean.ours, mean.ctf / mean.ours,
             mean.petsc / mean.ours);
-        // One record per comm mode so downstream tooling can group by the
-        // comm_mode field; the baselines ride on the sync record.
         JsonRecord rec("bench_fig4_insertions");
         rec.field("batch", bs)
-            .field("comm_mode", "sync")
             .field("ours_ms", mean.ours)
             .field("combblas_ms", mean.combblas)
             .field("ctf_ms", mean.ctf)
             .field("petsc_ms", mean.petsc);
         json_record(rec);
-        JsonRecord arec("bench_fig4_insertions");
-        arec.field("batch", bs)
-            .field("comm_mode", "async")
-            .field("ours_ms", mean.ours_async);
-        json_record(arec);
     }
-    if (gain_count > 0)
-        std::printf(
-            "\noverlap gain: async redistribution is %.2fx sync on average "
-            "over %d batch sizes\n",
-            gain_sum / gain_count, gain_count);
     std::printf(
         "\npaper: speedup over CombBLAS falls from 227.68x (batch 1024) to\n"
         "3.63x (batch 131072); the same monotone decrease should appear above\n"

@@ -67,12 +67,14 @@ def identity_of(rec, shared_keys):
     return tuple(parts)
 
 
-# Integer fields that are measurements, not configuration: exclude them
-# from record identity so two runs of the same cell still match.
+# Integer and string fields that are measurements, not configuration:
+# exclude them from record identity so two runs of the same cell still
+# match (a gate's verdict and within_gate are outcomes, not cell keys).
 MEASUREMENT_INTS = {
     "served", "ok", "shed", "expired", "cache_hits", "slo_violations",
     "snapshots_published", "flight_recorded", "flight_worst_total_ns",
     "arrivals", "issued", "queries", "hits", "misses",
+    "scrapes_served", "verdict", "within_gate",
 }
 
 # Float-valued fields that ARE configuration (they distinguish cells of

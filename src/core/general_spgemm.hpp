@@ -23,9 +23,8 @@
 //
 // The Bloom filter trades false positives (superfluous columns kept) for
 // communication volume; it never loses a contribution (tested property).
-// With comm_mode == Async the mask broadcast of round a+1 is posted before
-// round a's masked multiply (and the slab exchange uses the post/wait path);
-// bytes and reduction order are unchanged, so results are bit-identical.
+// The mask broadcast of round a+1 is posted before round a's masked multiply,
+// so it overlaps compute.
 #pragma once
 
 #include <optional>
@@ -44,9 +43,6 @@ struct GeneralSpgemmOptions {
     /// Disables the Bloom *column* filter (rows are still selected by the
     /// mask); measured by bench_ablation_bloom.
     bool use_bloom_filter = true;
-    /// Async overlaps the next round's mask broadcast with this round's
-    /// masked multiply. Bit-identical results either way.
-    par::CommMode comm_mode = par::CommMode::Sync;
 };
 
 /// Volume diagnostics of one general-update pass.
@@ -78,7 +74,6 @@ GeneralSpgemmStats general_dynamic_spgemm(
     const BlockPartition kr = grid.row_partition(Aprime.shape().ncols());
     const BlockPartition kc = grid.col_partition(Aprime.shape().ncols());
     const auto& rp = C.shape().row_partition();
-    const bool async = opts.comm_mode == par::CommMode::Async;
 
     // E = (F | F*) masked at C*, reduced over the grid row into the
     // row-filter vector R (one 64-bit word per local row of this block row).
@@ -139,8 +134,7 @@ GeneralSpgemmStats general_dynamic_spgemm(
         });
         auto send = detail::bucket_triples(
             trips, rows, [&](const Triple<T>& t) { return kr.owner(t.col); });
-        auto recv = detail::exchange(grid.col_comm(), std::move(send),
-                                     opts.comm_mode);
+        auto recv = grid.col_comm().alltoallv(std::move(send));
         trips.clear();
         for (const auto& buf : recv) detail::unpack_triples(buf, trips);
         trips = detail::allgather_triples(grid.row_comm(), std::move(trips));
@@ -166,8 +160,8 @@ GeneralSpgemmStats general_dynamic_spgemm(
     };
 
     // One round per grid row a: mask C*_{a,j} comes down the process column;
-    // the A^R rows for output block a are already local in the slab. In
-    // async mode round a+1's mask is posted before round a's multiply.
+    // the A^R rows for output block a are already local in the slab. Round
+    // a+1's mask is posted before round a's multiply.
     auto post_mask = [&](int a) {
         Profiler::Scope scope(Phase::Bcast);
         par::Buffer mbuf;
@@ -175,24 +169,17 @@ GeneralSpgemmStats general_dynamic_spgemm(
         return grid.col_comm().ibcast(a, std::move(mbuf));
     };
     std::optional<par::Comm::PendingBcast> inflight;
-    if (async && rows > 0) inflight.emplace(post_mask(0));
+    if (rows > 0) inflight.emplace(post_mask(0));
 
     Dcsr<VB> z_mine(C.shape().local_rows(), C.shape().local_cols());
     for (int a = 0; a < rows; ++a) {
         Dcsr<std::uint64_t> cstar_aj;
         {
             Profiler::Scope scope(Phase::Bcast);
-            if (async) {
-                cstar_aj = Dcsr<std::uint64_t>::deserialize(inflight->wait());
-                inflight.reset();
-            } else {
-                par::Buffer mbuf;
-                if (i == a) mbuf = mask_snapshot;
-                cstar_aj = Dcsr<std::uint64_t>::deserialize(
-                    grid.col_comm().bcast(a, std::move(mbuf)));
-            }
+            cstar_aj = Dcsr<std::uint64_t>::deserialize(inflight->wait());
+            inflight.reset();
         }
-        if (async && a + 1 < rows) inflight.emplace(post_mask(a + 1));
+        if (a + 1 < rows) inflight.emplace(post_mask(a + 1));
 
         Dcsr<VB> z_part;
         {

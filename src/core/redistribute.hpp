@@ -45,17 +45,6 @@ void unpack_triples(const par::Buffer& buf, std::vector<Triple<T>>& out) {
     out.insert(out.end(), part.begin(), part.end());
 }
 
-/// alltoallv through either the blocking or the post/wait path. Redistribution
-/// has no local work to overlap, so async mode here exists to exercise the
-/// same code path the overlapped algorithms use — byte-identical either way.
-inline std::vector<par::Buffer> exchange(par::Comm& comm,
-                                         std::vector<par::Buffer> send,
-                                         par::CommMode mode) {
-    if (mode == par::CommMode::Async)
-        return comm.ialltoallv(std::move(send)).wait();
-    return comm.alltoallv(std::move(send));
-}
-
 }  // namespace detail
 
 /// Routes tuples (global coordinates) to the rank owning their block; returns
@@ -64,8 +53,7 @@ template <typename T>
 std::vector<Triple<T>> redistribute_tuples(ProcessGrid& grid,
                                            const DistShape& shape,
                                            std::vector<Triple<T>> tuples,
-                                           RedistMode mode = RedistMode::TwoPhase,
-                                           par::CommMode comm_mode = par::CommMode::Sync) {
+                                           RedistMode mode = RedistMode::TwoPhase) {
     using par::Phase;
     using par::Profiler;
     const int rows = grid.rows();
@@ -104,7 +92,7 @@ std::vector<Triple<T>> redistribute_tuples(ProcessGrid& grid,
         std::vector<par::Buffer> recv;
         {
             Profiler::Scope scope(Phase::RedistComm);
-            recv = detail::exchange(grid.world(), std::move(send), comm_mode);
+            recv = grid.world().alltoallv(std::move(send));
         }
         std::vector<Triple<T>> out;
         {
@@ -133,7 +121,7 @@ std::vector<Triple<T>> redistribute_tuples(ProcessGrid& grid,
         std::vector<par::Buffer> recv;
         {
             Profiler::Scope scope(Phase::RedistComm);
-            recv = detail::exchange(grid.col_comm(), std::move(send), comm_mode);
+            recv = grid.col_comm().alltoallv(std::move(send));
         }
         tuples.clear();
         {
@@ -160,7 +148,7 @@ std::vector<Triple<T>> redistribute_tuples(ProcessGrid& grid,
         std::vector<par::Buffer> recv;
         {
             Profiler::Scope scope(Phase::RedistComm);
-            recv = detail::exchange(grid.row_comm(), std::move(send), comm_mode);
+            recv = grid.row_comm().alltoallv(std::move(send));
         }
         tuples.clear();
         {

@@ -19,10 +19,9 @@
 // locally; aggregation is entirely local, but *all* non-zeros of A and B
 // travel, which is exactly the cost the dynamic algorithms avoid.
 //
-// With SummaOptions::comm_mode == Async the two broadcasts of stage k+1 are
-// posted before stage k's local multiply starts (DistEmbed-style pipelining),
-// so communication overlaps compute. The bytes and the reduction order are
-// identical to sync mode — results are bit-identical.
+// The two broadcasts of stage k+1 are posted before stage k's local multiply
+// starts (DistEmbed-style pipelining, one stage ahead), so communication
+// overlaps compute.
 #pragma once
 
 #include <algorithm>
@@ -44,9 +43,6 @@ struct SummaOptions {
     /// When set, only entries present in the mask's local blocks are
     /// produced (masked SpGEMM).
     const sparse::PairSet* local_mask = nullptr;
-    /// Sync: broadcast-then-multiply per stage. Async: stage k+1's
-    /// broadcasts are posted before stage k's multiply (overlap).
-    par::CommMode comm_mode = par::CommMode::Sync;
 };
 
 namespace detail {
@@ -117,7 +113,6 @@ void summa(DistDynamicMatrix<T>& C, const DistDynamicMatrix<T>& A,
         return out;
     };
 
-    const bool async = opts.comm_mode == par::CommMode::Async;
     using Posted =
         std::pair<par::Comm::PendingBcast, par::Comm::PendingBcast>;
     auto post = [&](const detail::SummaStage& st) {
@@ -127,29 +122,20 @@ void summa(DistDynamicMatrix<T>& C, const DistDynamicMatrix<T>& A,
                       grid.col_comm().ibcast(st.b_root, std::move(bbuf))};
     };
     std::vector<Posted> inflight;  // at most one outstanding stage
-    if (async && !stages.empty()) inflight.push_back(post(stages[0]));
+    if (!stages.empty()) inflight.push_back(post(stages[0]));
 
     for (std::size_t k = 0; k < stages.size(); ++k) {
         const auto& st = stages[k];
         Dcsr<T> a_ik;
         Dcsr<T> b_kj;
-        if (async) {
-            {
-                Profiler::Scope scope(Phase::Bcast);
-                a_ik = Dcsr<T>::deserialize(inflight.back().first.wait());
-                b_kj = Dcsr<T>::deserialize(inflight.back().second.wait());
-                inflight.pop_back();
-            }
-            // Overlap: next stage's broadcasts ride under this multiply.
-            if (k + 1 < stages.size()) inflight.push_back(post(stages[k + 1]));
-        } else {
-            auto [abuf, bbuf] = slices(st);
+        {
             Profiler::Scope scope(Phase::Bcast);
-            a_ik = Dcsr<T>::deserialize(
-                grid.row_comm().bcast(st.a_root, std::move(abuf)));
-            b_kj = Dcsr<T>::deserialize(
-                grid.col_comm().bcast(st.b_root, std::move(bbuf)));
+            a_ik = Dcsr<T>::deserialize(inflight.back().first.wait());
+            b_kj = Dcsr<T>::deserialize(inflight.back().second.wait());
+            inflight.pop_back();
         }
+        // Overlap: next stage's broadcasts ride under this multiply.
+        if (k + 1 < stages.size()) inflight.push_back(post(stages[k + 1]));
 
         sparse::SpgemmOptions sopts;
         sopts.pool = opts.pool;

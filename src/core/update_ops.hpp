@@ -26,14 +26,11 @@ namespace dsg::core {
 /// per rank. Collective.
 template <typename T>
 DistDcsr<T> build_update_matrix(ProcessGrid& grid, index_t nrows, index_t ncols,
-                                std::vector<Triple<T>> tuples,
-                                RedistMode mode = RedistMode::TwoPhase,
-                                par::CommMode comm_mode = par::CommMode::Sync) {
+                                std::vector<Triple<T>> tuples) {
     using par::Phase;
     using par::Profiler;
     DistDcsr<T> out(grid, nrows, ncols);
-    auto mine = redistribute_tuples(grid, out.shape(), std::move(tuples), mode,
-                                    comm_mode);
+    auto mine = redistribute_tuples(grid, out.shape(), std::move(tuples));
 
     Profiler::Scope scope(Phase::LocalConstruct);
     // Map to block-local coordinates.
@@ -127,11 +124,9 @@ DistDynamicMatrix<T> build_dynamic_matrix(ProcessGrid& grid, index_t nrows,
                                           index_t ncols,
                                           std::vector<Triple<T>> tuples,
                                           RedistMode mode = RedistMode::TwoPhase,
-                                          par::ThreadPool* pool = nullptr,
-                                          par::CommMode comm_mode = par::CommMode::Sync) {
+                                          par::ThreadPool* pool = nullptr) {
     DistDynamicMatrix<T> out(grid, nrows, ncols);
-    auto mine = redistribute_tuples(grid, out.shape(), std::move(tuples), mode,
-                                    comm_mode);
+    auto mine = redistribute_tuples(grid, out.shape(), std::move(tuples), mode);
     par::Profiler::Scope scope(par::Phase::LocalAddition);
     const int threads = pool != nullptr ? pool->thread_count() : 1;
     auto insert_one = [&](const Triple<T>& t) {

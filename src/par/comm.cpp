@@ -280,7 +280,8 @@ void Comm::barrier() {
 // wait() then drains the mailbox with the same (source, tag) matching as
 // point-to-point traffic. The per-rank lockstep sequence number guarantees
 // the n-th post on every rank carries the same tag, whatever else is in
-// flight.
+// flight. The blocking bcast and alltoallv are a post followed by its wait,
+// so each of the two collectives has one transport.
 
 Comm::PendingBcast Comm::ibcast(int root, Buffer msg) {
     auto& g = *group_;
@@ -345,44 +346,11 @@ std::vector<Buffer> Comm::PendingAlltoallv::wait() {
 }
 
 Buffer Comm::bcast(int root, Buffer msg) {
-    auto& g = *group_;
-    g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
-    (void)g.next_seq(rank_);
-    if (rank_ == root) g.slot(root) = &msg;
-    g.barrier_wait();
-    Buffer out;
-    if (rank_ != root) {
-        out = *static_cast<const Buffer*>(g.slot(root));
-        g.stats().bcast_bytes.fetch_add(out.size(), std::memory_order_relaxed);
-    }
-    g.barrier_wait();
-    if (rank_ == root) out = std::move(msg);
-    return out;
+    return ibcast(root, std::move(msg)).wait();
 }
 
 std::vector<Buffer> Comm::alltoallv(std::vector<Buffer> send) {
-    auto& g = *group_;
-    const int p = g.size();
-    if (static_cast<int>(send.size()) != p)
-        throw std::invalid_argument("alltoallv: send.size() != comm size");
-    g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
-    (void)g.next_seq(rank_);
-    g.slot(rank_) = &send;
-    g.barrier_wait();
-    std::vector<Buffer> out(static_cast<std::size_t>(p));
-    std::uint64_t bytes = 0;
-    for (int s = 0; s < p; ++s) {
-        if (s == rank_) continue;
-        const auto& peer_send = *static_cast<const std::vector<Buffer>*>(g.slot(s));
-        out[static_cast<std::size_t>(s)] =
-            peer_send[static_cast<std::size_t>(rank_)];
-        bytes += out[static_cast<std::size_t>(s)].size();
-    }
-    g.stats().alltoall_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    g.barrier_wait();
-    out[static_cast<std::size_t>(rank_)] =
-        std::move(send[static_cast<std::size_t>(rank_)]);
-    return out;
+    return ialltoallv(std::move(send)).wait();
 }
 
 std::vector<Buffer> Comm::gather(int root, Buffer msg) {

@@ -47,12 +47,6 @@ public:
 /// Larger tags are reserved for internal collective traffic.
 inline constexpr int kUserTagLimit = 1 << 20;
 
-/// Whether a communication stage runs its collectives synchronously or as
-/// post/wait halves that overlap the next local compute phase. Async mode
-/// moves bit-identical bytes over the same reduction trees — only the
-/// schedule changes, never the result.
-enum class CommMode { Sync, Async };
-
 /// Communication-volume counters shared by a world and all communicators
 /// split from it. Byte counts only include data that crosses rank boundaries
 /// (rank-local copies are free on a real machine as well, via shared memory).
@@ -110,13 +104,13 @@ public:
 
     // -- non-blocking collectives -------------------------------------------
     //
-    // Post/wait halves of bcast and alltoallv (the DistEmbed-style sync/async
-    // switch). A post enqueues the payload into peers' mailboxes immediately
-    // and returns a handle; the matching wait() blocks until the peer
-    // payloads have arrived. Posts count as collectives and must be issued by
-    // every rank in the same order (like the blocking forms), but any number
-    // may be outstanding, and ranks may interleave local compute between post
-    // and wait — that is the overlap. wait() must be called exactly once.
+    // Post/wait halves of bcast and alltoallv. A post enqueues the payload
+    // into peers' mailboxes immediately and returns a handle; the matching
+    // wait() blocks until the peer payloads have arrived. Posts count as
+    // collectives and must be issued by every rank in the same order (like
+    // the blocking forms, which are post-then-wait), but any number may be
+    // outstanding, and ranks may interleave local compute between post and
+    // wait — that is the overlap. wait() must be called exactly once.
 
     /// In-flight ibcast; wait() yields what bcast(root, msg) would return.
     class PendingBcast {
@@ -164,9 +158,11 @@ public:
     // -- collectives (must be called by every rank, in the same order) -------
 
     void barrier();
-    /// Root's buffer is delivered to every rank (root gets its own back).
+    /// Root's buffer is delivered to every rank (root gets its own back);
+    /// ibcast(root, msg).wait().
     Buffer bcast(int root, Buffer msg);
-    /// send[i] is delivered to rank i; returns the p buffers received.
+    /// send[i] is delivered to rank i; returns the p buffers received;
+    /// ialltoallv(send).wait().
     std::vector<Buffer> alltoallv(std::vector<Buffer> send);
     /// Gathers every rank's buffer at root (indexed by rank); other ranks
     /// receive an empty vector.

@@ -42,7 +42,6 @@ namespace dsg::persist {
 
 struct RecoveryOptions {
     std::filesystem::path dir;
-    core::RedistMode redist = core::RedistMode::TwoPhase;
     par::ThreadPool* pool = nullptr;  ///< intra-rank threads for replay apply
 };
 
@@ -234,7 +233,6 @@ RecoveryResult recover(core::DistDynamicMatrix<T>& A,
     cfg.queue_capacity = std::max<std::size_t>(max_frame_ops, 1);
     cfg.epoch_batch = 1;
     cfg.epoch_deadline = std::chrono::milliseconds(0);
-    cfg.redist = opts.redist;
     cfg.pool = opts.pool;
     cfg.initial_version = res.checkpoint_version;
     stream::EpochEngine<SR> engine(A, cfg);

@@ -1,0 +1,211 @@
+// Traffic pins: the exact bytes each distributed kernel moves, per
+// collective kind, on one seeded input per grid shape. Communication volume
+// is deterministic, so any change to a kernel's schedule that alters what
+// crosses rank boundaries (an extra broadcast, a lost filter, a different
+// slab routing) fails here even when the numerical result stays right.
+// Every call must also leave no posted collective unwaited.
+#include <gtest/gtest.h>
+
+#include <ostream>
+#include <random>
+
+#include "common/grid_shapes.hpp"
+#include "core/dynamic_spgemm.hpp"
+#include "core/general_spgemm.hpp"
+#include "core/redistribute.hpp"
+#include "core/summa.hpp"
+#include "core/update_ops.hpp"
+#include "dist_test_utils.hpp"
+
+namespace {
+
+using namespace dsg;
+using core::DistDcsr;
+using core::DistDynamicMatrix;
+using core::ProcessGrid;
+using dsg::test::GridCase;
+using par::Comm;
+using par::run_world;
+using sparse::index_t;
+using sparse::MinPlus;
+using sparse::PlusTimes;
+using sparse::Triple;
+using test::random_triples;
+
+/// Bytes per collective kind and the collective count of one kernel call,
+/// summed over all ranks.
+struct Traffic {
+    std::uint64_t bcast = 0, alltoall = 0, reduce = 0, gather = 0, p2p = 0,
+                  collectives = 0;
+    bool operator==(const Traffic&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Traffic& t) {
+    return os << "{bcast " << t.bcast << ", alltoall " << t.alltoall
+              << ", reduce " << t.reduce << ", gather " << t.gather
+              << ", p2p " << t.p2p << ", collectives " << t.collectives << "}";
+}
+
+/// The pinned traffic of one kernel on the 2x2 and on the 2x3 grid.
+struct Pin {
+    Traffic g2x2, g2x3;
+};
+
+/// Runs fn collectively and returns the traffic it caused. The barriers
+/// fence the snapshots so no other communication falls between them.
+template <typename Fn>
+Traffic measure(Comm& c, Fn&& fn) {
+    c.barrier();
+    const auto before = c.stats().snapshot();
+    c.barrier();
+    fn();
+    c.barrier();
+    const auto after = c.stats().snapshot();
+    c.barrier();
+    EXPECT_EQ(after.async_posted, after.async_completed)
+        << "a posted collective was never waited on";
+    return {after.bcast_bytes - before.bcast_bytes,
+            after.alltoall_bytes - before.alltoall_bytes,
+            after.reduce_bytes - before.reduce_bytes,
+            after.gather_bytes - before.gather_bytes,
+            after.p2p_bytes - before.p2p_bytes,
+            after.collectives - before.collectives};
+}
+
+/// Per-rank seeded inputs: every rank contributes its own tuples, so the
+/// redistribution inside each build moves data from every rank.
+struct Fixture {
+    static constexpr index_t n = 96;  // divisible by p = 4 and p = 6
+    ProcessGrid grid;
+    index_t p, rank;
+    std::mt19937_64 rng;
+
+    Fixture(Comm& c, const GridCase& gc)
+        : grid(dsg::test::make_grid(c, gc)),
+          p(c.size()),
+          rank(c.rank()),
+          rng(1234 + static_cast<std::uint64_t>(c.rank())) {}
+
+    std::vector<Triple<double>> tuples(int count) {
+        return random_triples(rng, n, n, count);
+    }
+    template <typename SR>
+    DistDynamicMatrix<double> matrix(int count) {
+        return core::build_dynamic_matrix<SR>(grid, n, n, tuples(count));
+    }
+    /// Update matrix from coordinates unique across ranks: this rank draws
+    /// only rows congruent to its rank mod p.
+    DistDcsr<double> update(int count, double lo = 1.0, double hi = 9.0) {
+        auto ts = random_triples(rng, n / p, n, count, lo, hi);
+        for (auto& t : ts) t.row = t.row * p + rank;
+        sparse::combine_duplicates<MinPlus<double>>(ts);
+        return core::build_update_matrix(grid, n, n, std::move(ts));
+    }
+};
+
+class CommVolumeP : public ::testing::TestWithParam<GridCase> {
+protected:
+    /// Measures `kernel(fixture)` on every rank of the case's grid and
+    /// checks the result against the shape's pin.
+    template <typename Kernel>
+    void expect_traffic(const Pin& pin, Kernel&& kernel) {
+        const GridCase gc = GetParam();
+        const Traffic& want = gc.cols == 2 ? pin.g2x2 : pin.g2x3;
+        run_world(gc.p(), [&](Comm& c) {
+            Fixture fx(c, gc);
+            const Traffic got = kernel(c, fx);
+            if (c.rank() == 0) {
+                EXPECT_EQ(got, want);
+            }
+        });
+    }
+};
+
+TEST_P(CommVolumeP, SummaWithBloomFilter) {
+    expect_traffic({{42752, 0, 0, 0, 0, 16}, {97184, 0, 0, 0, 0, 48}},
+                   [](Comm& c, Fixture& fx) {
+                       auto A = fx.matrix<MinPlus<double>>(300);
+                       auto B = fx.matrix<MinPlus<double>>(300);
+                       DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+                       DistDynamicMatrix<std::uint64_t> F(fx.grid, fx.n, fx.n);
+                       core::SummaOptions opts;
+                       opts.bloom_out = &F;
+                       return measure(c, [&] {
+                           core::summa<MinPlus<double>>(C, A, B, opts);
+                       });
+                   });
+}
+
+TEST_P(CommVolumeP, AlgebraicDynamicSpgemm) {
+    expect_traffic({{0, 1336, 13664, 2368, 0, 32}, {0, 2064, 30128, 5328, 0, 54}},
+                   [](Comm& c, Fixture& fx) {
+                       using SR = PlusTimes<double>;
+                       auto A = fx.matrix<SR>(300);
+                       auto B = fx.matrix<SR>(300);
+                       auto C = core::summa_multiply<SR>(A, B);
+                       const auto Astar = fx.update(12);
+                       const auto Bstar = fx.update(12);
+                       core::add_update<SR>(B, Bstar);
+                       return measure(c, [&] {
+                           core::dynamic_spgemm_algebraic<SR>(C, A, Astar, B,
+                                                              Bstar);
+                       });
+                   });
+}
+
+TEST_P(CommVolumeP, ComputePattern) {
+    expect_traffic({{0, 1336, 13456, 2368, 0, 32}, {0, 2064, 29776, 5328, 0, 54}},
+                   [](Comm& c, Fixture& fx) {
+                       using SR = MinPlus<double>;
+                       auto A = fx.matrix<SR>(300);
+                       auto B = fx.matrix<SR>(300);
+                       const auto Astar = fx.update(12);
+                       const auto Bstar = fx.update(12);
+                       return measure(c, [&] {
+                           (void)core::compute_pattern(A, Astar, B, Bstar);
+                       });
+                   });
+}
+
+TEST_P(CommVolumeP, GeneralDynamicSpgemm) {
+    expect_traffic({{10048, 4640, 11632, 11312, 0, 40}, {20208, 9408, 26000, 44880, 0, 60}},
+                   [](Comm& c, Fixture& fx) {
+                       using SR = MinPlus<double>;
+                       auto A = fx.matrix<SR>(300);
+                       auto B = fx.matrix<SR>(300);
+                       DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+                       DistDynamicMatrix<std::uint64_t> F(fx.grid, fx.n, fx.n);
+                       core::SummaOptions sopts;
+                       sopts.bloom_out = &F;
+                       core::summa<SR>(C, A, B, sopts);
+                       // General updates: larger values MERGEd into A.
+                       const auto Astar = fx.update(12, 20.0, 40.0);
+                       const DistDcsr<double> Bstar(fx.grid, fx.n, fx.n);
+                       const auto cstar =
+                           core::compute_pattern(A, Astar, B, Bstar);
+                       core::merge_update(A, Astar);
+                       return measure(c, [&] {
+                           (void)core::general_dynamic_spgemm<SR>(C, F, A, B,
+                                                                  cstar);
+                       });
+                   });
+}
+
+TEST_P(CommVolumeP, TwoPhaseRedistribution) {
+    expect_traffic({{0, 19984, 0, 0, 0, 8}, {0, 33072, 0, 0, 0, 12}},
+                   [](Comm& c, Fixture& fx) {
+                       const DistDynamicMatrix<double> holder(fx.grid, fx.n,
+                                                              fx.n);
+                       auto ts = fx.tuples(200);
+                       return measure(c, [&] {
+                           (void)core::redistribute_tuples(
+                               fx.grid, holder.shape(), std::move(ts));
+                       });
+                   });
+}
+
+INSTANTIATE_TEST_SUITE_P(GridShapes, CommVolumeP,
+                         ::testing::Values(GridCase{2, 2}, GridCase{2, 3}),
+                         dsg::test::grid_case_name);
+
+}  // namespace

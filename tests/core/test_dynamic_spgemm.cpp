@@ -24,7 +24,6 @@ using core::dynamic_spgemm_algebraic;
 using core::ProcessGrid;
 using core::summa_multiply;
 using par::Comm;
-using par::run_world;
 using sparse::index_t;
 using sparse::MinPlus;
 using sparse::PlusTimes;
@@ -35,16 +34,15 @@ using test::random_triples;
 using test::reference_add;
 using test::reference_multiply;
 
+using dsg::test::Caller;
 using dsg::test::GridCase;
 
 class DynSpgemmP : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(DynSpgemmP, InsertionsIntoAMatchRecompute) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(100);
         const index_t n = 26, kk = 22, m = 24;
         auto ta = random_triples(rng, n, kk, 140);
@@ -69,7 +67,7 @@ TEST_P(DynSpgemmP, InsertionsIntoAMatchRecompute) {
             auto Astar = build_update_matrix(grid, n, kk, empty_unless0(upd));
             core::DistDcsr<double> Bstar(grid, kk, m);  // empty
             // Dynamic update of C, then of A itself.
-            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, upd);
             test::expect_matches(
@@ -80,10 +78,8 @@ TEST_P(DynSpgemmP, InsertionsIntoAMatchRecompute) {
 
 TEST_P(DynSpgemmP, SimultaneousUpdatesOfBothOperands) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(200);
         const index_t n = 20;
         auto ta = random_triples(rng, n, n, 120);
@@ -108,7 +104,7 @@ TEST_P(DynSpgemmP, SimultaneousUpdatesOfBothOperands) {
             // C' = C + A* B' + A B': apply B's update *first* so Bprime is
             // available, keep A pre-update for the A B* term.
             core::add_update<PlusTimes<double>>(B, Bstar);
-            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
@@ -121,10 +117,8 @@ TEST_P(DynSpgemmP, SimultaneousUpdatesOfBothOperands) {
 TEST_P(DynSpgemmP, RingDeletionsViaNegativeUpdates) {
     // In a ring, deleting a_{ij} is the algebraic update a* = -a_{ij}.
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(300);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 100);
@@ -147,7 +141,7 @@ TEST_P(DynSpgemmP, RingDeletionsViaNegativeUpdates) {
         }
         auto Astar = build_update_matrix(grid, n, n, feed(negs));
         core::DistDcsr<double> Bstar(grid, n, n);
-        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
         core::add_update<PlusTimes<double>>(A, Astar);
         test::expect_matches(C,
                              reference_multiply<PlusTimes<double>>(am, as_map(tb)));
@@ -158,10 +152,8 @@ TEST_P(DynSpgemmP, MinPlusDecreasingUpdatesAreAlgebraic) {
     // (min,+): inserting new entries or decreasing existing ones is algebraic
     // because add = min can only keep or lower values.
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(400);
         const index_t n = 16;
         auto ta = random_triples(rng, n, n, 80, 5.0, 9.0);
@@ -180,7 +172,7 @@ TEST_P(DynSpgemmP, MinPlusDecreasingUpdatesAreAlgebraic) {
             sparse::combine_duplicates<MinPlus<double>>(upd);
             auto Astar = build_update_matrix(grid, n, n, feed(upd));
             core::DistDcsr<double> Bstar(grid, n, n);
-            dynamic_spgemm_algebraic<MinPlus<double>>(C, A, Astar, B, Bstar, dopts);
+            dynamic_spgemm_algebraic<MinPlus<double>>(C, A, Astar, B, Bstar);
             core::add_update<MinPlus<double>>(A, Astar);
             am = reference_add<MinPlus<double>>(am, upd);
             // MinPlus result entries equal the recomputation exactly (no
@@ -205,10 +197,8 @@ TEST_P(DynSpgemmP, MinPlusDecreasingUpdatesAreAlgebraic) {
 
 TEST_P(DynSpgemmP, PatternIsSupersetWithCorrectBloomBits) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(500);
         const index_t n = 22;
         auto ta = random_triples(rng, n, n, 90);
@@ -225,7 +215,7 @@ TEST_P(DynSpgemmP, PatternIsSupersetWithCorrectBloomBits) {
         auto Astar = build_update_matrix(grid, n, n, feed(upd));
         core::DistDcsr<double> Bstar(grid, n, n);
 
-        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar);
         std::map<std::pair<index_t, index_t>, std::uint64_t> pat;
         for (const auto& t : Cstar.gather_global()) pat[{t.row, t.col}] = t.value;
 
@@ -251,11 +241,9 @@ TEST_P(DynSpgemmP, DynamicBeatsSummaOnCommunicationVolume) {
     // The paper's central claim, checked on the accounting layer: updating
     // C with a small A* moves far fewer bytes than a static SUMMA of A'B.
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         if (c.size() == 1) GTEST_SKIP();  // no communication either way
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(600);
         const index_t n = 64;
         auto ta = random_triples(rng, n, n, 2000);
@@ -277,7 +265,7 @@ TEST_P(DynSpgemmP, DynamicBeatsSummaOnCommunicationVolume) {
         c.barrier();
         if (c.rank() == 0) c.stats().reset();
         c.barrier();
-        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar, dopts);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
         c.barrier();
         const auto dyn = c.stats().snapshot().total_bytes();
 
@@ -295,7 +283,7 @@ TEST_P(DynSpgemmP, DynamicBeatsSummaOnCommunicationVolume) {
 
 TEST_P(DynSpgemmP, AsyncIsBitIdenticalToSync) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
         std::mt19937_64 rng(700);
         const index_t n = 30;
@@ -315,17 +303,20 @@ TEST_P(DynSpgemmP, AsyncIsBitIdenticalToSync) {
         auto Astar = build_update_matrix(grid, n, n, feed(ua));
         auto Bstar = build_update_matrix(grid, n, n, feed(ub));
 
-        auto run_one = [&](par::CommMode mode) {
-            auto C = summa_multiply<PlusTimes<double>>(A, B);
-            core::DynamicSpgemmOptions o;
-            o.comm_mode = mode;
-            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar,
-                                                        o);
-            return as_map(C.gather_global());
+        auto run_one = [&](Caller caller) {
+            CoordMap out;
+            dsg::test::run_with_caller(c, caller, [&] {
+                auto C = summa_multiply<PlusTimes<double>>(A, B);
+                dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B,
+                                                            Bstar);
+                out = as_map(C.gather_global());
+            });
+            return out;
         };
-        // The async schedule posts the same slab exchange and reduces in the
-        // same round order, so the maintained product matches bit for bit.
-        EXPECT_EQ(run_one(par::CommMode::Sync), run_one(par::CommMode::Async));
+        // A stray handle in flight changes neither the slab exchange nor the
+        // round order of the reductions, so the maintained product matches
+        // bit for bit.
+        EXPECT_EQ(run_one(Caller::Sync), run_one(Caller::Async));
     });
 }
 

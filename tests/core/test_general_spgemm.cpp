@@ -25,7 +25,6 @@ using core::GeneralSpgemmOptions;
 using core::ProcessGrid;
 using core::SummaOptions;
 using par::Comm;
-using par::run_world;
 using sparse::index_t;
 using sparse::MinPlus;
 using sparse::PlusTimes;
@@ -44,8 +43,6 @@ template <typename SR>
 void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
                         int rounds, bool use_bloom) {
     ProcessGrid grid = dsg::test::make_grid(c, gc);
-    core::DynamicSpgemmOptions dopts;
-    dopts.comm_mode = gc.comm_mode;
     std::mt19937_64 rng(seed);
     const index_t n = 20;
     auto ta = random_triples(rng, n, n, 110, 1.0, 9.0);
@@ -84,7 +81,7 @@ void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
         DistDcsr<double> Bstar(grid, n, n);
 
         // Pattern first (uses pre-update A), then apply the updates to A.
-        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar);
         auto Umerge = build_update_matrix(grid, n, n, feed(merges));
         auto Udel = build_update_matrix(grid, n, n, feed(deletes));
         core::merge_update(A, Umerge);
@@ -94,7 +91,6 @@ void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
 
         GeneralSpgemmOptions gopts;
         gopts.use_bloom_filter = use_bloom;
-        gopts.comm_mode = gc.comm_mode;
         auto stats = general_dynamic_spgemm<SR>(C, F, A, B, Cstar, gopts);
         EXPECT_LE(stats.ar_nnz_global, stats.aprime_nnz_global);
 
@@ -119,33 +115,29 @@ class GeneralP : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(GeneralP, MinPlusGeneralUpdatesMatchRecompute) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         run_general_rounds<MinPlus<double>>(c, gc, 900, 3, true);
     });
 }
 
 TEST_P(GeneralP, MinPlusWithoutBloomColumnFilter) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         run_general_rounds<MinPlus<double>>(c, gc, 901, 2, false);
     });
 }
 
 TEST_P(GeneralP, PlusTimesGeneralUpdatesMatchRecompute) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         run_general_rounds<PlusTimes<double>>(c, gc, 902, 2, true);
     });
 }
 
 TEST_P(GeneralP, DeleteEverythingEmptiesTheProduct) {
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        GeneralSpgemmOptions gopts;
-        gopts.comm_mode = gc.comm_mode;
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(903);
         const index_t n = 12;
         auto ta = random_triples(rng, n, n, 40);
@@ -163,10 +155,10 @@ TEST_P(GeneralP, DeleteEverythingEmptiesTheProduct) {
 
         auto Astar = build_update_matrix(grid, n, n, feed(ta));
         DistDcsr<double> Bstar(grid, n, n);
-        auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar);
         core::mask_delete(A, Astar);
         EXPECT_EQ(A.global_nnz(), 0u);
-        general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar, gopts);
+        general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar);
         EXPECT_EQ(C.global_nnz(), 0u);
         EXPECT_EQ(F.global_nnz(), 0u);
     });
@@ -176,12 +168,8 @@ TEST_P(GeneralP, BloomFilterNeverLosesContributions) {
     // With and without the column filter the result is identical; the filter
     // only reduces nnz(A^R).
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        GeneralSpgemmOptions gopts;
-        gopts.comm_mode = gc.comm_mode;
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(904);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 90);
@@ -204,10 +192,10 @@ TEST_P(GeneralP, BloomFilterNeverLosesContributions) {
                                                   {ta[1].row, ta[1].col, 60.0}};
             auto Astar = build_update_matrix(grid, n, n, feed(overwrite));
             DistDcsr<double> Bstar(grid, n, n);
-            auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+            auto Cstar = compute_pattern(A, Astar, B, Bstar);
             auto U = build_update_matrix(grid, n, n, feed(overwrite));
             core::merge_update(A, U);
-            GeneralSpgemmOptions bopts = gopts;
+            GeneralSpgemmOptions bopts;
             bopts.use_bloom_filter = use_bloom;
             auto st = general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar,
                                                               bopts);
@@ -224,12 +212,8 @@ TEST_P(GeneralP, UpdatesOfRightOperandMatchRecompute) {
     // Exercises the A B* term of the pattern and the recomputation with a
     // changed B' — the flow the Fig. 10 experiment does not touch.
     const GridCase gc = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
-        GeneralSpgemmOptions gopts;
-        gopts.comm_mode = gc.comm_mode;
-        core::DynamicSpgemmOptions dopts;
-        dopts.comm_mode = gc.comm_mode;
         std::mt19937_64 rng(905);
         const index_t n = 18;
         auto ta = random_triples(rng, n, n, 90);
@@ -267,11 +251,11 @@ TEST_P(GeneralP, UpdatesOfRightOperandMatchRecompute) {
             // *post-update* B' per Eq. (1) — so apply B's updates first.
             core::merge_update(B, build_update_matrix(grid, n, n, feed(bumps)));
             core::mask_delete(B, build_update_matrix(grid, n, n, feed(deletes)));
-            auto Cstar = compute_pattern(A, Astar, B, Bstar, dopts);
+            auto Cstar = compute_pattern(A, Astar, B, Bstar);
             for (const auto& t : bumps) bm[{t.row, t.col}] = t.value;
             for (const auto& t : deletes) bm.erase({t.row, t.col});
 
-            general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar, gopts);
+            general_dynamic_spgemm<MinPlus<double>>(C, F, A, B, Cstar);
             test::expect_matches_exactly(
                 C, reference_multiply<MinPlus<double>>(as_map(ta), bm));
         }

@@ -32,7 +32,7 @@ std::string params_name(const ::testing::TestParamInfo<Params>& info) {
     const Params& pr = info.param;
     return std::to_string(pr.gc.rows) + "x" + std::to_string(pr.gc.cols) +
            (pr.mode == RedistMode::TwoPhase ? "_twophase" : "_directsort") +
-           (pr.gc.comm_mode == par::CommMode::Async ? "_async" : "_sync");
+           (pr.gc.caller == dsg::test::Caller::Async ? "_async" : "_sync");
 }
 
 std::vector<Params> redist_params() {
@@ -54,7 +54,7 @@ TEST_P(RedistP, TuplesArriveAtOwnersAndNothingIsLost) {
         static_cast<std::size_t>(gc.p()));
     std::vector<Triple<double>> global_input;
     std::mutex mx;
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
         core::DistDynamicMatrix<double> shape_holder(grid, n, m);
         const DistShape& shape = shape_holder.shape();
@@ -64,8 +64,7 @@ TEST_P(RedistP, TuplesArriveAtOwnersAndNothingIsLost) {
             std::lock_guard lk(mx);
             global_input.insert(global_input.end(), mine.begin(), mine.end());
         }
-        auto got = core::redistribute_tuples(grid, shape, mine, mode,
-                                             gc.comm_mode);
+        auto got = core::redistribute_tuples(grid, shape, mine, mode);
         // Ownership property.
         for (const auto& t : got)
             EXPECT_EQ(shape.owner_rank(t.row, t.col), c.rank());
@@ -87,19 +86,18 @@ TEST_P(RedistP, TuplesArriveAtOwnersAndNothingIsLost) {
 
 TEST_P(RedistP, EmptyInputOnEveryRank) {
     const auto [gc, mode] = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
         core::DistDynamicMatrix<double> holder(grid, 10, 10);
         auto got = core::redistribute_tuples(grid, holder.shape(),
-                                             std::vector<Triple<double>>{}, mode,
-                                             gc.comm_mode);
+                                             std::vector<Triple<double>>{}, mode);
         EXPECT_TRUE(got.empty());
     });
 }
 
 TEST_P(RedistP, AllTuplesFromOneRank) {
     const auto [gc, mode] = GetParam();
-    run_world(gc.p(), [&](Comm& c) {
+    dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
         core::DistDynamicMatrix<double> holder(grid, 16, 16);
         std::vector<Triple<double>> mine;
@@ -108,8 +106,7 @@ TEST_P(RedistP, AllTuplesFromOneRank) {
                 for (index_t j = 0; j < 16; ++j)
                     mine.push_back({i, j, double(i * 16 + j)});
         }
-        auto got = core::redistribute_tuples(grid, holder.shape(), mine, mode,
-                                             gc.comm_mode);
+        auto got = core::redistribute_tuples(grid, holder.shape(), mine, mode);
         // Each rank owns exactly its (possibly uneven) block.
         const auto& rp = holder.shape().row_partition();
         const auto& cp = holder.shape().col_partition();

@@ -158,7 +158,7 @@ class FederateG : public ::testing::TestWithParam<dsg::test::GridCase> {};
 TEST_P(FederateG, EveryRankGetsTheIdenticalClusterView) {
     const auto c = GetParam();
     std::vector<std::string> rendered(static_cast<std::size_t>(c.p()));
-    par::run_world(c.p(), [&](par::Comm& comm) {
+    dsg::test::run_case(c, [&](par::Comm& comm) {
         obs::MetricsSnapshot local;
         local.gauges.emplace_back(
             "work", static_cast<double>(comm.rank() + 1));

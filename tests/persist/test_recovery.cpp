@@ -76,7 +76,6 @@ void check_recovery_equivalence(const GridCase& gc,
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 256;
         cfg.epoch_deadline = std::chrono::milliseconds(2);
         Engine engine(A, cfg);

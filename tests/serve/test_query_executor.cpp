@@ -40,7 +40,7 @@ constexpr index_t kN = 64;
 /// edge 1->3 closing the triangle {1,2,3} for the analytics maintainer.
 void populate(serve::SnapshotStore<double>& store, bool with_hub,
               const GridCase& gc = {2, 2}) {
-    par::run_world(gc.p(), [&](par::Comm& comm) {
+    dsg::test::run_case(gc, [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         core::DistDynamicMatrix<double> A(grid, kN, kN);
 
@@ -49,7 +49,6 @@ void populate(serve::SnapshotStore<double>& store, bool with_hub,
             hub.emplace<analytics::LiveTriangleMaintainer>(grid, kN);
 
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 1 << 12;
         Engine engine(A, cfg);
         if (with_hub) hub.attach(engine);

@@ -77,12 +77,11 @@ TEST_P(SnapshotStoreG, PublishedVersionsAreImmutablePerEpochImages) {
     scfg.retain = 8;
     serve::SnapshotStore<double> store(scfg);
 
-    par::run_world(gc.p(), [&](par::Comm& comm) {
+    dsg::test::run_case(gc, [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         const index_t n = 32;
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 1;
         Engine engine(A, cfg);
         store.attach(engine, A);
@@ -250,12 +249,11 @@ TEST_P(SnapshotStoreG, QueriesMatchBruteForceReference) {
     serve::SnapshotStore<double> store(scfg);
     std::vector<Triple<double>> reference;
 
-    par::run_world(gc.p(), [&](par::Comm& comm) {
+    dsg::test::run_case(gc, [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         const index_t n = 48;
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 256;
         Engine engine(A, cfg);
         store.attach(engine, A);

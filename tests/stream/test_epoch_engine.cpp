@@ -26,6 +26,7 @@ using sparse::index_t;
 using sparse::Triple;
 using stream::OpKind;
 using stream::StreamOp;
+using dsg::test::Caller;
 using dsg::test::GridCase;
 
 constexpr int kRanks = 4;  // 2x2 grid
@@ -34,7 +35,7 @@ class EpochEngineG : public ::testing::TestWithParam<GridCase> {};
 
 TEST_P(EpochEngineG, AppliesAllThreeKindsInOneEpoch) {
     const GridCase gc = GetParam();
-    par::run_world(gc.p(), [&](par::Comm& comm) {
+    dsg::test::run_case(gc, [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         const index_t n = 64;
         core::DistDynamicMatrix<double> A(grid, n, n);
@@ -43,7 +44,6 @@ TEST_P(EpochEngineG, AppliesAllThreeKindsInOneEpoch) {
         // the expected state is independent of cross-rank apply order.
         const auto r = static_cast<index_t>(comm.rank());
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.epoch_batch = 1 << 12;  // everything fits in one epoch
         Engine engine(A, cfg);
         auto& q = engine.queue();
@@ -75,7 +75,7 @@ TEST_P(EpochEngineG, AppliesAllThreeKindsInOneEpoch) {
 TEST_P(EpochEngineG, ConcurrentProducersMatchSequentialReference) {
     const GridCase gc = GetParam();
     constexpr int kProducers = 3;
-    par::run_world(gc.p(), [&](par::Comm& comm) {
+    dsg::test::run_case(gc, [&](par::Comm& comm) {
         core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         const index_t n = 512;
 
@@ -87,7 +87,6 @@ TEST_P(EpochEngineG, ConcurrentProducersMatchSequentialReference) {
 
         core::DistDynamicMatrix<double> A(grid, n, n);
         stream::EngineConfig cfg;
-        cfg.comm_mode = gc.comm_mode;
         cfg.queue_capacity = 1 << 10;  // force many epochs + backpressure
         cfg.epoch_batch = 512;
         cfg.epoch_deadline = std::chrono::milliseconds(2);
@@ -347,12 +346,11 @@ TEST_P(EpochEngineG, OverlapPersistMatchesInlineWal) {
         std::vector<std::vector<stream::EpochDelta<double>>> wals(
             static_cast<std::size_t>(gc.p()));
         std::vector<CoordMap> finals(static_cast<std::size_t>(gc.p()));
-        par::run_world(gc.p(), [&](par::Comm& comm) {
+        dsg::test::run_case(gc, [&](par::Comm& comm) {
             core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
             const index_t n = 96;
             core::DistDynamicMatrix<double> A(grid, n, n);
             stream::EngineConfig cfg;
-            cfg.comm_mode = gc.comm_mode;
             cfg.overlap_persist = overlap;
             cfg.epoch_batch = 32;
             cfg.epoch_deadline = std::chrono::milliseconds(1);
@@ -368,8 +366,10 @@ TEST_P(EpochEngineG, OverlapPersistMatchesInlineWal) {
             // whole, so several WAL points only happen across several pumps.
             for (index_t chunk = 0; chunk < 6; ++chunk) {
                 for (index_t k = 0; k < 50; ++k) {
+                    // Wraps only on the extended shapes (p > 6), which
+                    // would otherwise address rows past n.
                     const index_t row =
-                        r + static_cast<index_t>(gc.p()) * (k % 16);
+                        (r + static_cast<index_t>(gc.p()) * (k % 16)) % n;
                     ASSERT_TRUE(q.push(
                         {OpKind::Add,
                          {row, static_cast<index_t>(rng() % 96),
@@ -411,19 +411,19 @@ TEST_P(EpochEngineG, OverlapPersistMatchesInlineWal) {
     }
 }
 
-// Streaming the same ops through engines in sync and async comm mode must
-// produce bit-identical matrices: the async build path posts the same
-// exchange and applies in the same order.
+// Streaming the same ops through an engine that runs alone and through one
+// whose caller holds its own ibcast in flight across the whole run must
+// produce bit-identical matrices: an unrelated outstanding handle changes
+// neither the build's exchange nor the apply order.
 TEST_P(EpochEngineG, AsyncCommIsBitIdenticalToSync) {
     const GridCase gc = GetParam();
-    auto run_one = [&](par::CommMode mode) {
+    auto run_one = [&](Caller caller) {
         CoordMap out;
-        par::run_world(gc.p(), [&](par::Comm& comm) {
+        dsg::test::run_case({gc.rows, gc.cols, caller}, [&](par::Comm& comm) {
             core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
             const index_t n = 128;
             core::DistDynamicMatrix<double> A(grid, n, n);
             stream::EngineConfig cfg;
-            cfg.comm_mode = mode;
             cfg.epoch_batch = 64;
             cfg.epoch_deadline = std::chrono::milliseconds(1);
             Engine engine(A, cfg);
@@ -443,24 +443,25 @@ TEST_P(EpochEngineG, AsyncCommIsBitIdenticalToSync) {
         });
         return out;
     };
-    EXPECT_EQ(run_one(par::CommMode::Sync), run_one(par::CommMode::Async));
+    EXPECT_EQ(run_one(Caller::Sync), run_one(Caller::Async));
 }
 
 INSTANTIATE_TEST_SUITE_P(GridShapes, EpochEngineG,
                          ::testing::ValuesIn(dsg::test::grid_shape_cases()),
                          dsg::test::grid_case_name);
 
-// Acceptance: all nine workload scenarios produce a bit-identical matrix in
-// sync and async comm mode, on a rectangular 2x3 grid. Epoch boundaries are
-// pinned (chunked pushes with a pump per chunk — the queue drains whole) so
-// both runs apply the identical epoch sequence; any divergence is then the
-// comm schedule's fault alone.
+// Acceptance: all nine workload scenarios produce a bit-identical matrix on
+// a rectangular 2x3 grid whether or not the caller holds its own ibcast in
+// flight across the run. Epoch boundaries are pinned (chunked pushes with a
+// pump per chunk — the queue drains whole) so both runs apply the identical
+// epoch sequence; any divergence is then the fault of a collective matched
+// against the stray handle.
 TEST(EpochEngine, AsyncMatchesSyncOnEveryScenario) {
-    const GridCase gc{2, 3};
     for (auto scenario : stream::all_scenarios()) {
-        auto run_one = [&](par::CommMode mode) {
+        auto run_one = [&](Caller caller) {
+            const GridCase gc{2, 3, caller};
             CoordMap out;
-            par::run_world(gc.p(), [&](par::Comm& comm) {
+            dsg::test::run_case(gc, [&](par::Comm& comm) {
                 core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
                 const index_t n = 128;
                 core::DistDynamicMatrix<double> A(grid, n, n);
@@ -480,7 +481,6 @@ TEST(EpochEngine, AsyncMatchesSyncOnEveryScenario) {
                 ASSERT_EQ(ops.size(), wl.writes);
 
                 stream::EngineConfig cfg;
-                cfg.comm_mode = mode;
                 cfg.epoch_batch = 64;
                 cfg.epoch_deadline = std::chrono::milliseconds(1);
                 Engine engine(A, cfg);
@@ -501,7 +501,7 @@ TEST(EpochEngine, AsyncMatchesSyncOnEveryScenario) {
             });
             return out;
         };
-        EXPECT_EQ(run_one(par::CommMode::Sync), run_one(par::CommMode::Async))
+        EXPECT_EQ(run_one(Caller::Sync), run_one(Caller::Async))
             << stream::scenario_name(scenario);
     }
 }
