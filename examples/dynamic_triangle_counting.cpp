@@ -63,7 +63,7 @@ int main() {
 
             comm.barrier();
             const auto t0 = Clock::now();
-            counter.insert_edges(feed(both_dirs(batch)));
+            counter.update(feed(both_dirs(batch)));
             const double tri = counter.count();
             comm.barrier();
             const double dyn_ms =

@@ -54,19 +54,6 @@ inline sparse::index_t key_col(std::uint64_t key) {
     return static_cast<sparse::index_t>(key & 0xffffffffu);
 }
 
-/// Expands canonical undirected edges into the both-directions, weight-1.0
-/// form DynamicTriangleCounter expects.
-inline std::vector<sparse::Triple<double>> both_directions(
-    const std::vector<sparse::Triple<double>>& edges) {
-    std::vector<sparse::Triple<double>> out;
-    out.reserve(edges.size() * 2);
-    for (const auto& e : edges) {
-        out.push_back({e.row, e.col, 1.0});
-        out.push_back({e.col, e.row, 1.0});
-    }
-    return out;
-}
-
 }  // namespace detail
 
 /// Live triangle count of the undirected simple graph induced by the
@@ -84,8 +71,9 @@ inline std::vector<sparse::Triple<double>> both_directions(
 ///      deletes of absent edges dissolve here, which is what upholds
 ///      DynamicTriangleCounter's "new edges only" / "existing edges only"
 ///      preconditions under arbitrary streams;
-///   3. the surviving edges feed insert_edges/remove_edges (both
-///      directions), and the refreshed count is published.
+///   3. the surviving edges, both directions each, form one signed batch
+///      (+1 insert, -1 delete) for DynamicTriangleCounter::update, and the
+///      refreshed count is published.
 /// MERGEs have no structural meaning for an unweighted graph and are
 /// counted into ops_skipped().
 class LiveTriangleMaintainer final : public Maintainer<double> {
@@ -146,7 +134,8 @@ public:
                                       t.value < 0.0);
             if (!inserted && t.value < 0.0) it->second = true;
         }
-        std::vector<sparse::Triple<double>> inserts, removes;
+        std::vector<sparse::Triple<double>> edges;
+        edges.reserve(2 * owner_net.size());
         for (const auto& [key, masked] : owner_net) {
             const sparse::index_t i = detail::key_row(key);
             const sparse::index_t j = detail::key_col(key);
@@ -154,17 +143,16 @@ public:
                 counter_.adjacency().local().find(shape.local_row(i),
                                                   shape.local_col(j)) !=
                 nullptr;
-            if (masked) {
-                if (present) removes.push_back({i, j, 1.0});
-            } else if (!present) {
-                inserts.push_back({i, j, 1.0});
-            }
+            // Inserts of live edges and deletes of absent ones dissolve.
+            if (masked != present) continue;
+            const double sign = masked ? -1.0 : 1.0;
+            edges.push_back({i, j, sign});
+            edges.push_back({j, i, sign});
         }
 
-        // 3. Both collective rounds run every epoch (possibly with empty
-        //    batches) so ranks stay in lockstep.
-        counter_.insert_edges(detail::both_directions(inserts));
-        counter_.remove_edges(detail::both_directions(removes));
+        // 3. The collective update runs every epoch (possibly with an
+        //    empty batch) so ranks stay in lockstep.
+        counter_.update(std::move(edges));
         publish();
     }
 

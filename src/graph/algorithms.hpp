@@ -3,8 +3,8 @@
 // and a dynamic (incrementally maintained) variant:
 //
 //  - triangle_count / DynamicTriangleCounter — exact triangle counting via
-//    masked SUMMA, maintained as C = A·A under batch edge insertions AND
-//    deletions (deletions are algebraic in the (+,*) ring);
+//    masked SUMMA, maintained as C = A·A under signed batches that mix edge
+//    insertions and deletions (deletions are algebraic in the (+,*) ring);
 //  - khop_distances / DynamicMultiSourceProduct — multi-source (min,+)
 //    shortest distances; the dynamic class maintains the one-hop product
 //    D = S·A under algebraic updates (insertions / weight decreases);
@@ -17,6 +17,7 @@
 // src/analytics/graph_maintainers.hpp.
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -82,10 +83,13 @@ inline double triangle_count(const DistDynamicMatrix<double>& A,
     return total / 6.0;
 }
 
-/// Maintains A and C = A*A under batches of edge insertions, supporting an
-/// O(batch)-communication triangle count after every batch.
+/// Maintains A and C = A*A under batches of edge insertions and removals,
+/// supporting an O(batch)-communication triangle count after every batch.
 ///
-/// Insertion uses the distributive expansion A'A' = AA + A A* + A* A' as two
+/// A batch is one signed update matrix A* = A' - A: in the (+,*) ring a
+/// removal is the algebraic update a* = -1 (Section V: "A* can simply be
+/// computed as A' - A in rings"), so inserts and removals travel together.
+/// The distributive expansion A'A' = AA + A A* + A* A' maintains C in two
 /// passes of Algorithm 1 (first Y = A A* with the pre-update A, then apply
 /// the update, then X = A* A' with the post-update A), avoiding a second
 /// copy of A.
@@ -107,9 +111,12 @@ public:
                                                              summa_opts());
     }
 
-    /// Applies a batch of *new* edges (both directions, weight 1.0, not yet
-    /// present in the graph) and updates C = A*A dynamically. Collective.
-    void insert_edges(std::vector<sparse::Triple<double>> edges) {
+    /// Applies one batch of signed edge updates, both directions of each
+    /// undirected edge: value +1 inserts an edge not yet in the graph, -1
+    /// removes one that is. The numerically cancelled entries are then
+    /// pruned, so removed edges leave no structural zeros in A, nor do C
+    /// entries whose last two-hop path went away. Collective.
+    void update(std::vector<sparse::Triple<double>> edges) {
         ProcessGrid& grid = a_.shape().grid();
         const auto n = a_.shape().nrows();
         auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
@@ -124,35 +131,11 @@ public:
         // Pass 2: C += A* * A_new  (right update matrix empty).
         core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
             c_, a_, astar, a_, empty, opts);
-    }
-
-    /// Removes a batch of *existing* edges (both directions). In the (+,*)
-    /// ring a deletion is the algebraic update a* = -1 (Section V: "A* can
-    /// simply be computed as A' - A in rings"), so the same two-pass flow as
-    /// insertion maintains C; the cancelled entries are then pruned so they
-    /// do not accumulate as structural zeros. Collective.
-    void remove_edges(std::vector<sparse::Triple<double>> edges) {
-        for (auto& e : edges) e.value = -1.0;
-        ProcessGrid& grid = a_.shape().grid();
-        const auto n = a_.shape().nrows();
-        auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
-        DistDcsr<double> empty(grid, n, n);
-        core::DynamicSpgemmOptions opts;
-        opts.pool = pool_;
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, empty, a_, astar, opts);
-        core::add_update<sparse::PlusTimes<double>>(a_, astar, pool_);
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, astar, a_, empty, opts);
-        // Drop the numerically cancelled entries of A (they must not count
-        // as structural non-zeros of the graph); C's cancelled entries are
-        // harmless for count() but pruned as well to keep it tight.
-        core::ewise_prune(a_, [](sparse::index_t, sparse::index_t, double v) {
+        const auto cancelled = [](sparse::index_t, sparse::index_t, double v) {
             return std::abs(v) < 1e-12;
-        });
-        core::ewise_prune(c_, [](sparse::index_t, sparse::index_t, double v) {
-            return std::abs(v) < 1e-12;
-        });
+        };
+        core::ewise_prune(a_, cancelled);
+        core::ewise_prune(c_, cancelled);
     }
 
     /// Current triangle count: sum of C under the mask A, divided by 6.

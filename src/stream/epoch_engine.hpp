@@ -76,8 +76,6 @@ struct EngineConfig {
     /// the recovery tests assert.
     bool overlap_persist = false;
     par::ThreadPool* pool = nullptr;  ///< intra-rank threads for apply
-    /// Per-epoch log entries kept (the aggregate totals are always exact).
-    std::size_t max_epoch_log = std::size_t{1} << 16;
     /// Version the engine starts counting epochs from. 0 for a fresh run;
     /// recovery (src/persist/) sets it to the restored checkpoint's version
     /// so replayed and post-restart epochs continue the original numbering.
@@ -146,7 +144,7 @@ public:
     explicit EpochEngine(core::DistDynamicMatrix<T>& A, EngineConfig cfg = {})
         : A_(&A),
           cfg_(cfg),
-          queue_(cfg.queue_capacity),
+          queue_(cfg.queue_capacity, A.shape().nrows(), A.shape().ncols()),
           version_(cfg.initial_version) {
         // Registry instruments, fetched once here so pump() never takes the
         // registry lock. Latency histograms and op counters merge across
@@ -404,7 +402,6 @@ public:
         }
         obs_backlog_->set(static_cast<std::int64_t>(e.backlog_after));
         stats_.record(e);
-        if (epoch_log_.size() < cfg_.max_epoch_log) epoch_log_.push_back(e);
         // Quiesce the overlapped WAL write before reporting exhaustion, so
         // a caller that stops pumping observes a complete log.
         if (g.done != 0) join_wal_worker();
@@ -429,10 +426,6 @@ public:
     }
 
     [[nodiscard]] const StreamStats& stats() const { return stats_; }
-    /// Per-epoch log (capped at config().max_epoch_log entries).
-    [[nodiscard]] const std::vector<EpochStats>& epoch_log() const {
-        return epoch_log_;
-    }
 
 private:
     using index_t = sparse::index_t;
@@ -462,7 +455,6 @@ private:
     std::vector<StreamOp<T>> scratch_;
     std::vector<sparse::Triple<T>> adds_, merges_, masks_;
     StreamStats stats_;
-    std::vector<EpochStats> epoch_log_;
 
     // Registry instruments (fetched once in the ctor; see there).
     obs::Histogram* obs_drain_ns_ = nullptr;

@@ -13,10 +13,13 @@
 // last registered producer finishes (or close() is called explicitly) the
 // queue closes. Register every producer before the first one can finish —
 // typically on the launching thread, before spawning — so the count cannot
-// touch zero (closing the queue) while producers are still starting up. A closed queue rejects pushes but keeps serving drains until
-// empty, so no accepted op is ever lost. Like par::ThreadPool, all
-// synchronization is a single mutex plus condition variables — simple,
-// TSan-clean, and plenty for ops that are ~1 cache line each.
+// touch zero (closing the queue) while producers are still starting up. A
+// closed queue rejects pushes but keeps serving drains until empty, so no
+// accepted op is ever lost. The queue knows the shape of the matrix its ops
+// are for and refuses ops outside it on the producer's thread, before they
+// can reach a collective. Like par::ThreadPool, all synchronization is a
+// single mutex plus condition variables — simple, TSan-clean, and plenty
+// for ops that are ~1 cache line each.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +28,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -51,8 +56,10 @@ struct StreamOp {
 template <typename T>
 class UpdateQueue {
 public:
-    explicit UpdateQueue(std::size_t capacity)
-        : buf_(capacity == 0 ? 1 : capacity) {}
+    /// A queue for ops on an nrows x ncols matrix.
+    UpdateQueue(std::size_t capacity, sparse::index_t nrows,
+                sparse::index_t ncols)
+        : buf_(capacity == 0 ? 1 : capacity), nrows_(nrows), ncols_(ncols) {}
 
     UpdateQueue(const UpdateQueue&) = delete;
     UpdateQueue& operator=(const UpdateQueue&) = delete;
@@ -91,8 +98,10 @@ public:
     }
 
     /// Blocks while the queue is full; returns false (dropping the op) if
-    /// the queue is or becomes closed.
+    /// the queue is or becomes closed. Throws std::out_of_range, buffering
+    /// nothing, for an op outside the matrix.
     bool push(const StreamOp<T>& op) {
+        check_in_matrix(op);
         std::unique_lock lock(mx_);
         if (count_ == buf_.size() && !closed_) {
             // Measure backpressure only when the push actually parks, so
@@ -111,8 +120,10 @@ public:
         return true;
     }
 
-    /// Non-blocking push; returns false when full or closed.
+    /// Non-blocking push; returns false when full or closed. Throws like
+    /// push() for an op outside the matrix.
     bool try_push(const StreamOp<T>& op) {
+        check_in_matrix(op);
         std::lock_guard lock(mx_);
         if (closed_ || count_ == buf_.size()) return false;
         push_locked(op);
@@ -179,6 +190,15 @@ public:
     }
 
 private:
+    void check_in_matrix(const StreamOp<T>& op) const {
+        const auto& t = op.tuple;
+        if (t.row >= 0 && t.row < nrows_ && t.col >= 0 && t.col < ncols_)
+            return;
+        throw std::out_of_range("UpdateQueue: op at (" +
+                                std::to_string(t.row) + ", " +
+                                std::to_string(t.col) +
+                                ") lies outside the matrix");
+    }
     void push_locked(const StreamOp<T>& op) {
         buf_[(head_ + count_) % buf_.size()] = op;
         ++count_;
@@ -201,6 +221,7 @@ private:
     std::condition_variable not_full_;
     std::condition_variable not_empty_;
     std::vector<StreamOp<T>> buf_;
+    const sparse::index_t nrows_, ncols_;  // the matrix ops must fall in
     std::size_t head_ = 0;
     std::size_t count_ = 0;
     std::size_t wait_min_ = 1;  // the parked consumer's trigger threshold

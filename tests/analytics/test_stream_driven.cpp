@@ -1,5 +1,5 @@
 // Deterministic epoch-delta edge cases for the graph maintainers: the
-// satellite coverage for DynamicTriangleCounter::remove_edges and
+// satellite coverage for DynamicTriangleCounter::update and
 // DynamicMultiSourceProduct::apply_decreases when driven from streamed
 // epochs — duplicates within an epoch, insert-then-delete of the same edge
 // in one epoch, re-ADDs of live edges, MASKs of absent edges, and empty /
@@ -75,7 +75,7 @@ TEST(StreamDrivenTriangles, DuplicatesWithinOneEpochCollapse) {
         }
 
         // Epoch 2: duplicate MASKs of the same edge, one direction reversed
-        // — removed exactly once (remove_edges driven from the delta).
+        // — removed exactly once (a -1 update driven from the delta).
         if (comm.rank() == 0) {
             ASSERT_TRUE(engine.queue().push({OpKind::Mask, {2, 1, 0.0}}));
             ASSERT_TRUE(engine.queue().push({OpKind::Mask, {1, 2, 0.0}}));

@@ -8,7 +8,10 @@
 
 #include <ostream>
 #include <random>
+#include <set>
+#include <utility>
 
+#include "analytics/graph_maintainers.hpp"
 #include "common/grid_shapes.hpp"
 #include "core/dynamic_spgemm.hpp"
 #include "core/general_spgemm.hpp"
@@ -202,6 +205,40 @@ TEST_P(CommVolumeP, TwoPhaseRedistribution) {
                                fx.grid, holder.shape(), std::move(ts));
                        });
                    });
+}
+
+// One epoch of the live triangle count: normalization, the owner-side
+// membership round and the counter's signed update. Every rank ADDs absent
+// edges and MASKs present ones; rank 0 also ADDs and MASKs one fresh edge.
+TEST_P(CommVolumeP, LiveTriangleEpoch) {
+    expect_traffic(
+        {{0, 5848, 23984, 6368, 0, 84}, {0, 10824, 59040, 14352, 0, 138}},
+        [](Comm& c, Fixture& fx) {
+            analytics::LiveTriangleMaintainer maint(fx.grid, fx.n);
+            maint.seed(fx.tuples(150));
+            std::set<std::pair<index_t, index_t>> present;  // both directions
+            for (const auto& t : maint.counter().adjacency().gather_global())
+                present.insert({t.row, t.col});
+            auto absent_edge = [&] {
+                for (;;) {
+                    const auto i = static_cast<index_t>(fx.rng() % fx.n);
+                    const auto j = static_cast<index_t>(fx.rng() % fx.n);
+                    if (i != j && !present.count({i, j})) return Triple<double>{i, j, 1.0};
+                }
+            };
+            stream::EpochDelta<double> delta;
+            for (int k = 0; k < 8; ++k) delta.adds.push_back(absent_edge());
+            index_t x = 0;  // this rank MASKs its share of the live edges
+            for (const auto& [i, j] : present)
+                if (i < j && x++ % fx.p == fx.rank && delta.masks.size() < 8)
+                    delta.masks.push_back({j, i, 0.0});
+            if (fx.rank == 0) {
+                const auto e = absent_edge();
+                delta.adds.push_back(e);
+                delta.masks.push_back(e);
+            }
+            return measure(c, [&] { maint.on_epoch(delta); });
+        });
 }
 
 INSTANTIATE_TEST_SUITE_P(GridShapes, CommVolumeP,

@@ -6,6 +6,8 @@
 #include <map>
 #include <random>
 
+#include "common/grid_shapes.hpp"
+#include "core/dist_test_utils.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 
@@ -115,7 +117,7 @@ TEST_P(AlgoP, DynamicTriangleCounterTracksInsertions) {
             const std::size_t e = half + (batch + 1) * rest / 3;
             std::vector<Triple<double>> newly(undirected.begin() + b,
                                               undirected.begin() + e);
-            counter.insert_edges(feed(both_dirs(newly)));
+            counter.update(feed(both_dirs(newly)));
             current.insert(current.end(), newly.begin(), newly.end());
             EXPECT_DOUBLE_EQ(counter.count(),
                              static_cast<double>(brute_force_triangles(
@@ -237,7 +239,13 @@ TEST_P(AlgoP, DynamicTriangleCounterTracksDeletions) {
                          static_cast<double>(
                              brute_force_triangles(both(undirected), n)));
 
-        // Remove every fourth edge in two batches; count must track exactly.
+        // Remove every fourth edge in two batches of -1 updates; the count
+        // must track exactly.
+        auto removal = [&](const std::vector<Triple<double>>& es) {
+            auto out = both(es);
+            for (auto& e : out) e.value = -1.0;
+            return out;
+        };
         std::vector<Triple<double>> doomed;
         std::vector<Triple<double>> kept;
         for (std::size_t x = 0; x < undirected.size(); ++x)
@@ -246,14 +254,14 @@ TEST_P(AlgoP, DynamicTriangleCounterTracksDeletions) {
         std::vector<Triple<double>> first(doomed.begin(), doomed.begin() + half);
         std::vector<Triple<double>> second(doomed.begin() + half, doomed.end());
 
-        counter.remove_edges(feed(both(first)));
+        counter.update(feed(removal(first)));
         std::vector<Triple<double>> current = kept;
         current.insert(current.end(), second.begin(), second.end());
         EXPECT_DOUBLE_EQ(counter.count(),
                          static_cast<double>(
                              brute_force_triangles(both(current), n)));
 
-        counter.remove_edges(feed(both(second)));
+        counter.update(feed(removal(second)));
         EXPECT_DOUBLE_EQ(counter.count(),
                          static_cast<double>(brute_force_triangles(both(kept), n)));
         // A's structural size matches the surviving edge set.
@@ -306,5 +314,89 @@ TEST_P(AlgoP, DynamicContractionMatchesDirectComputation) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Worlds, AlgoP, ::testing::Values(1, 4));
+
+class TriangleCounterG : public ::testing::TestWithParam<dsg::test::GridCase> {};
+
+// One batch that inserts and removes at once: A* holds +1 and -1 entries,
+// and some entry of C receives contributions of both signs within one pass
+// of Algorithm 1 (checked on the input below). The counter must equal a
+// from-scratch count, hold exactly the live edges, and keep C = A·A entry
+// for entry with no stored zeros.
+TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
+    const dsg::test::GridCase gc = GetParam();
+    dsg::test::run_case(gc, [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        const index_t n = 24;
+        auto all = graph::simplify(graph::erdos_renyi_edges(n, 150, 41));
+        std::vector<Triple<double>> undirected;
+        for (const auto& e : graph::simplify(graph::symmetrize(all)))
+            if (e.row < e.col) undirected.push_back({e.row, e.col, 1.0});
+
+        // Seed the first two thirds of the edges. The batch removes every
+        // third seeded edge and inserts the last third. All three lists hold
+        // both directions of each edge; live is the graph after the batch.
+        const std::size_t seeded = 2 * undirected.size() / 3;
+        std::vector<Triple<double>> seed, batch, live;
+        auto both = [](std::vector<Triple<double>>& out, const Triple<double>& e,
+                       double value) {
+            out.push_back({e.row, e.col, value});
+            out.push_back({e.col, e.row, value});
+        };
+        for (std::size_t x = 0; x < undirected.size(); ++x) {
+            const auto& e = undirected[x];
+            if (x >= seeded) {
+                both(batch, e, 1.0);
+                both(live, e, 1.0);
+            } else if (x % 3 == 0) {
+                both(seed, e, 1.0);
+                both(batch, e, -1.0);
+            } else {
+                both(seed, e, 1.0);
+                both(live, e, 1.0);
+            }
+        }
+        std::vector<std::vector<double>> a_old(n, std::vector<double>(n)),
+            a_star(n, std::vector<double>(n));
+        for (const auto& e : seed) a_old[e.row][e.col] = e.value;
+        for (const auto& e : batch) a_star[e.row][e.col] = e.value;
+        bool mixed = false;  // some C(i, j) += A_old(i, k) A*(k, j) of both signs
+        for (index_t i = 0; i < n; ++i)
+            for (index_t j = 0; j < n; ++j) {
+                bool pos = false, neg = false;
+                for (index_t k = 0; k < n; ++k) {
+                    pos = pos || a_old[i][k] * a_star[k][j] > 0.0;
+                    neg = neg || a_old[i][k] * a_star[k][j] < 0.0;
+                }
+                mixed = mixed || (pos && neg);
+            }
+        ASSERT_TRUE(mixed);
+
+        // Every rank contributes a share of each batch.
+        auto share = [&](const std::vector<Triple<double>>& ts) {
+            std::vector<Triple<double>> mine;
+            for (auto x = static_cast<std::size_t>(c.rank()); x < ts.size();
+                 x += static_cast<std::size_t>(c.size()))
+                mine.push_back(ts[x]);
+            return mine;
+        };
+        DynamicTriangleCounter counter(grid, n);
+        counter.initialize(share(seed));
+        counter.update(share(batch));
+
+        EXPECT_DOUBLE_EQ(counter.count(),
+                         static_cast<double>(brute_force_triangles(live, n)));
+        EXPECT_EQ(counter.adjacency().global_nnz(), live.size());
+        const auto& A = counter.adjacency();
+        const auto C = core::summa_multiply<sparse::PlusTimes<double>>(A, A);
+        dsg::test::expect_matches_exactly(counter.square(),
+                                          dsg::test::as_map(C.gather_global()));
+        for (const auto& t : counter.square().gather_global())
+            EXPECT_NE(t.value, 0.0) << "stored zero at (" << t.row << ", " << t.col << ")";
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(GridShapes, TriangleCounterG,
+                         ::testing::ValuesIn(dsg::test::grid_shape_cases()),
+                         dsg::test::grid_case_name);
 
 }  // namespace

@@ -165,7 +165,7 @@ TEST_P(EndToEnd, ApplicationsAgreeWithEachOther) {
         const std::size_t half = undirected.size() / 2;
         counter.initialize(feed(both(
             {undirected.begin(), undirected.begin() + half})));
-        counter.insert_edges(feed(both(
+        counter.update(feed(both(
             {undirected.begin() + half, undirected.end()})));
 
         auto Adj = core::build_dynamic_matrix<PlusTimes<double>>(

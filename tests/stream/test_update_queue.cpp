@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -15,13 +16,15 @@ using dsg::stream::StreamOp;
 using dsg::stream::UpdateQueue;
 using namespace std::chrono_literals;
 
+constexpr index_t kN = 1 << 12;  // the queues' matrix: kN x kN
+
 StreamOp<double> op(index_t row, index_t col, double value = 1.0,
                     OpKind kind = OpKind::Add) {
     return {kind, {row, col, value}};
 }
 
 TEST(UpdateQueue, DrainsInFifoOrder) {
-    UpdateQueue<double> q(16);
+    UpdateQueue<double> q(16, kN, kN);
     for (index_t k = 0; k < 10; ++k) ASSERT_TRUE(q.push(op(k, k)));
     EXPECT_EQ(q.size(), 10u);
 
@@ -34,7 +37,7 @@ TEST(UpdateQueue, DrainsInFifoOrder) {
 }
 
 TEST(UpdateQueue, DrainAppendsAcrossWrapAround) {
-    UpdateQueue<double> q(4);
+    UpdateQueue<double> q(4, kN, kN);
     std::vector<StreamOp<double>> out;
     // Fill, half-drain, refill: forces the ring to wrap.
     for (index_t k = 0; k < 4; ++k) ASSERT_TRUE(q.push(op(k, 0)));
@@ -46,7 +49,7 @@ TEST(UpdateQueue, DrainAppendsAcrossWrapAround) {
 }
 
 TEST(UpdateQueue, TryPushRefusesWhenFull) {
-    UpdateQueue<double> q(2);
+    UpdateQueue<double> q(2, kN, kN);
     EXPECT_TRUE(q.try_push(op(0, 0)));
     EXPECT_TRUE(q.try_push(op(1, 1)));
     EXPECT_FALSE(q.try_push(op(2, 2)));
@@ -57,7 +60,7 @@ TEST(UpdateQueue, TryPushRefusesWhenFull) {
 }
 
 TEST(UpdateQueue, PushBlocksOnBackpressureUntilDrained) {
-    UpdateQueue<double> q(4);
+    UpdateQueue<double> q(4, kN, kN);
     for (index_t k = 0; k < 4; ++k) ASSERT_TRUE(q.push(op(k, 0)));
 
     std::atomic<bool> pushed{false};
@@ -78,8 +81,37 @@ TEST(UpdateQueue, PushBlocksOnBackpressureUntilDrained) {
     EXPECT_EQ(out[0].tuple.row, 99);
 }
 
+// An op outside the matrix would reach the epoch's redistribution with an
+// owner rank past the grid; push() refuses it on the producer's thread.
+TEST(UpdateQueue, PushRejectsOpsOutsideTheMatrix) {
+    UpdateQueue<double> q(8, 4, 6);
+    EXPECT_THROW(q.push(op(4, 0)), std::out_of_range);
+    EXPECT_THROW(q.push(op(0, 6)), std::out_of_range);
+    EXPECT_THROW(q.push(op(-1, 0)), std::out_of_range);
+    EXPECT_THROW(q.push(op(0, -1, 1.0, OpKind::Mask)), std::out_of_range);
+    EXPECT_THROW(q.push(op(100000, 0)), std::out_of_range);
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.accepted(), 0u);
+
+    ASSERT_TRUE(q.push(op(3, 5)));  // the last row and column
+    std::vector<StreamOp<double>> out;
+    EXPECT_EQ(q.drain(out), 1u);
+    EXPECT_EQ(out[0], op(3, 5));
+}
+
+TEST(UpdateQueue, TryPushRejectsOpsOutsideTheMatrix) {
+    UpdateQueue<double> q(8, 4, 6);
+    EXPECT_THROW(q.try_push(op(4, 0)), std::out_of_range);
+    EXPECT_THROW(q.try_push(op(0, 6, 1.0, OpKind::Merge)), std::out_of_range);
+    EXPECT_THROW(q.try_push(op(-1, -1)), std::out_of_range);
+    EXPECT_EQ(q.size(), 0u);
+    EXPECT_EQ(q.accepted(), 0u);
+    EXPECT_TRUE(q.try_push(op(3, 5)));
+    EXPECT_EQ(q.accepted(), 1u);
+}
+
 TEST(UpdateQueue, CloseRejectsPushesButKeepsBufferedOps) {
-    UpdateQueue<double> q(8);
+    UpdateQueue<double> q(8, kN, kN);
     ASSERT_TRUE(q.push(op(1, 1)));
     q.close();
     EXPECT_TRUE(q.closed());
@@ -93,7 +125,7 @@ TEST(UpdateQueue, CloseRejectsPushesButKeepsBufferedOps) {
 }
 
 TEST(UpdateQueue, CloseUnblocksWaitingProducer) {
-    UpdateQueue<double> q(1);
+    UpdateQueue<double> q(1, kN, kN);
     ASSERT_TRUE(q.push(op(0, 0)));
     std::thread producer([&] { EXPECT_FALSE(q.push(op(1, 1))); });
     std::this_thread::sleep_for(10ms);
@@ -102,7 +134,7 @@ TEST(UpdateQueue, CloseUnblocksWaitingProducer) {
 }
 
 TEST(UpdateQueue, ProducerTokensCloseWhenLastFinishes) {
-    UpdateQueue<double> q(8);
+    UpdateQueue<double> q(8, kN, kN);
     q.register_producer();
     q.register_producer();
     q.producer_done();
@@ -112,7 +144,7 @@ TEST(UpdateQueue, ProducerTokensCloseWhenLastFinishes) {
 }
 
 TEST(UpdateQueue, WaitReadyReturnsOnBatchCloseOrDeadline) {
-    UpdateQueue<double> q(16);
+    UpdateQueue<double> q(16, kN, kN);
     // Deadline path: nothing arrives.
     const auto t0 = std::chrono::steady_clock::now();
     EXPECT_EQ(q.wait_ready(4, 30ms), 0u);
@@ -133,7 +165,7 @@ TEST(UpdateQueue, WaitReadyReturnsOnBatchCloseOrDeadline) {
 }
 
 TEST(UpdateQueue, WaitReadyClampsThresholdToCapacity) {
-    UpdateQueue<double> q(4);
+    UpdateQueue<double> q(4, kN, kN);
     std::thread producer([&] {
         for (index_t k = 0; k < 4; ++k) ASSERT_TRUE(q.push(op(k, 0)));
     });
@@ -146,7 +178,7 @@ TEST(UpdateQueue, WaitReadyClampsThresholdToCapacity) {
 TEST(UpdateQueue, ConcurrentProducersLoseNothingAndKeepPerProducerOrder) {
     constexpr int kProducers = 4;
     constexpr index_t kOpsEach = 2'000;
-    UpdateQueue<double> q(64);  // much smaller than the traffic: backpressure
+    UpdateQueue<double> q(64, kN, kN);  // much smaller than the traffic: backpressure
     for (int prod = 0; prod < kProducers; ++prod) q.register_producer();
 
     std::vector<std::thread> producers;
