@@ -17,7 +17,9 @@ present on only one side are listed as added/removed.
 record's `field` grew by more than `factor`x over the baseline (for
 fields where bigger is worse — latencies, violation counts/rates), exit
 non-zero. Repeatable. A field absent from a pair is skipped (schema
-growth is not a regression). Example, as used by scripts/slo-gate.py:
+growth is not a regression), but a gated comparison that matches no
+record at all fails: it would otherwise pass without comparing anything.
+Example, as used by scripts/slo-gate.py:
 
     scripts/bench-compare.py BENCH_9.json bench.json \\
         --fail-over on_arrival_p99_ms:10 --fail-over violation_rate:10
@@ -74,7 +76,8 @@ MEASUREMENT_INTS = {
     "served", "ok", "shed", "expired", "cache_hits", "slo_violations",
     "snapshots_published", "flight_recorded", "flight_worst_total_ns",
     "arrivals", "issued", "queries", "hits", "misses",
-    "scrapes_served", "verdict", "within_gate",
+    "scrapes_served", "verdict", "within_gate", "ingest_ops_per_s",
+    "violation_rate",
 }
 
 # Float-valued fields that ARE configuration (they distinguish cells of
@@ -159,6 +162,9 @@ def main():
     print(f"bench-compare: {matched} matched, "
           f"{len(base_by_id) - matched} removed, "
           f"{len(cur_by_id) - matched} added")
+    if gates and matched == 0:
+        failures.append("no record matched the baseline, so no gate was "
+                        "compared")
     if failures:
         for f in failures:
             print(f"bench-compare: FAIL: {f}", file=sys.stderr)

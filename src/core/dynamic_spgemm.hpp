@@ -20,11 +20,17 @@
 //   send/receive plus the per-round broadcasts (same bytes, same O(nnz/
 //   sqrt(p)) per-rank volume).
 //
-//   X rounds (one per grid row a):   rank (i,j) multiplies the N^r_a row
-//     slice of its A* slab with B'_{i,j} and tree-reduces the partial over
-//     its process column onto rank (a,j) (sparse reduce, Sec. VI-A).
-//   Y rounds (one per grid col b):   A_{i,j} times the M^c_b column slice of
-//     the B* slab, tree-reduced over the process row onto rank (i,b).
+//   X partials (one per grid row a):   rank (i,j) multiplies the N^r_a row
+//     slice of its A* slab with B'_{i,j}; partial a belongs to rank (a,j).
+//   Y partials (one per grid col b):   A_{i,j} times the M^c_b column slice
+//     of the B* slab; partial b belongs to rank (i,b).
+//
+// The sparse reduce-scatter (Sec. VI-A) is direct: each rank sends every
+// partial straight to its owner, all X partials in one all-to-all down the
+// process column (in flight while the Y partials are computed) and all Y
+// partials in one along the process row. The owner adds its own and each
+// incoming partial into C with the semiring addition, so each partial
+// crosses rank boundaries once.
 //
 // Communication volume is O((nnz(A*) + nnz(B*) + nnz(C*)) / sqrt(p)) versus
 // SUMMA's O((nnz(A) + nnz(B')) / sqrt(p)).
@@ -83,15 +89,14 @@ std::vector<Triple<T>> allgather_triples(par::Comm& comm,
 /// The communication skeleton shared by the algebraic algorithm and
 /// COMPUTEPATTERN. MultX(a_slice, a) receives the N^r_a x K^r_i slice of the
 /// A* slab; MultY(b_slice, b) the K^c_j x M^c_b slice of the B* slab; both
-/// produce local partial products (Dcsr<V>). AddV combines overlapping
-/// entries in the tree reduction; AbsorbX/AbsorbY consume the fully reduced
-/// X_{a,j} / Y_{i,b} on their owner rank.
+/// produce local partial products (Dcsr<V>). Absorb adds one partial into
+/// this rank's output block with the semiring addition; it is called for
+/// the rank's own and for every non-empty incoming X and Y partial.
 template <typename T, typename V, typename MultX, typename MultY,
-          typename AddV, typename AbsorbX, typename AbsorbY>
+          typename Absorb>
 void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
                       const DistDcsr<T>& Bstar, MultX&& mult_x,
-                      MultY&& mult_y, AddV&& add_v, AbsorbX&& absorb_x,
-                      AbsorbY&& absorb_y) {
+                      MultY&& mult_y, Absorb&& absorb) {
     using par::Phase;
     using par::Profiler;
     const int rows = grid.rows();
@@ -144,54 +149,56 @@ void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
                                                  std::move(btrip));
     }
 
-    auto merge_buffers = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<V>::deserialize(a);
-        auto mb = Dcsr<V>::deserialize(b);
-        return sparse::dcsr_add(ma, mb, add_v).serialize();
+    // Computes the partial of every output block d of comm (grid row d for
+    // X, grid column d for Y), keeps this rank's own and posts the others to
+    // their owners in one all-to-all. An empty partial travels as a
+    // zero-length buffer.
+    using Posted = std::pair<Dcsr<V>, par::Comm::PendingAlltoallv>;
+    auto post_partials = [](par::Comm& comm, auto&& partial) -> Posted {
+        std::vector<par::Buffer> send(static_cast<std::size_t>(comm.size()));
+        Dcsr<V> own;
+        for (int d = 0; d < comm.size(); ++d) {
+            Dcsr<V> part;
+            {
+                Profiler::Scope scope(Phase::LocalMult);
+                part = partial(d);
+            }
+            if (d == comm.rank()) {
+                own = std::move(part);
+            } else if (part.nnz() > 0) {
+                Profiler::Scope scope(Phase::Scatter);
+                send[static_cast<std::size_t>(d)] = part.serialize();
+            }
+        }
+        Profiler::Scope scope(Phase::ReduceScatter);
+        return {std::move(own), comm.ialltoallv(std::move(send))};
+    };
+    // Absorbs the own partial and every incoming one in rank order, so the
+    // sums formed in C do not depend on which message arrived first.
+    auto absorb_partials = [&](const par::Comm& comm, Posted posted) {
+        Profiler::Scope scope(Phase::ReduceScatter);
+        const std::vector<par::Buffer> recv = posted.second.wait();
+        for (int s = 0; s < comm.size(); ++s) {
+            const auto& buf = recv[static_cast<std::size_t>(s)];
+            if (s == comm.rank())
+                absorb(posted.first);
+            else if (!buf.empty())
+                absorb(Dcsr<V>::deserialize(buf));
+        }
     };
 
-    // ---- X rounds: one per grid row (output row block).
-    for (int a = 0; a < rows; ++a) {
-        Dcsr<V> x_part;
-        {
-            Profiler::Scope scope(Phase::LocalMult);
-            x_part = mult_x(
-                sparse::dcsr_row_block(aslab, nr.offset(a), nr.offset(a + 1)),
-                a);
-        }
-        par::Buffer x_wire;
-        {
-            Profiler::Scope scope(Phase::Scatter);
-            x_wire = x_part.serialize();
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer xr = grid.col_comm().reduce_merge(
-                a, std::move(x_wire), merge_buffers);
-            if (i == a) absorb_x(Dcsr<V>::deserialize(xr));
-        }
-    }
-    // ---- Y rounds: one per grid column (output column block).
-    for (int b = 0; b < cols; ++b) {
-        Dcsr<V> y_part;
-        {
-            Profiler::Scope scope(Phase::LocalMult);
-            y_part = mult_y(
-                sparse::dcsr_col_block(bslab, mc.offset(b), mc.offset(b + 1)),
-                b);
-        }
-        par::Buffer y_wire;
-        {
-            Profiler::Scope scope(Phase::Scatter);
-            y_wire = y_part.serialize();
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer yr = grid.row_comm().reduce_merge(
-                b, std::move(y_wire), merge_buffers);
-            if (j == b) absorb_y(Dcsr<V>::deserialize(yr));
-        }
-    }
+    // X partials go down the process column while the Y partials are
+    // computed.
+    Posted x = post_partials(grid.col_comm(), [&](int a) {
+        return mult_x(
+            sparse::dcsr_row_block(aslab, nr.offset(a), nr.offset(a + 1)), a);
+    });
+    Posted y = post_partials(grid.row_comm(), [&](int b) {
+        return mult_y(
+            sparse::dcsr_col_block(bslab, mc.offset(b), mc.offset(b + 1)), b);
+    });
+    absorb_partials(grid.col_comm(), std::move(x));
+    absorb_partials(grid.row_comm(), std::move(y));
 }
 
 /// Scatters a reduced partial block whose rows or columns follow the "wrong"
@@ -250,7 +257,7 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
                                       sparse::as_left(A.local()),
                                       sparse::as_right(b_slice), sopts);
         },
-        [](const T& a, const T& b) { return SR::add(a, b); }, absorb, absorb);
+        absorb);
 }
 
 /// Algorithm 1 with a transposed left operand (Section V-C):
@@ -591,7 +598,7 @@ DistDynamicMatrix<std::uint64_t> compute_pattern(
                                           sparse::as_left(A.local()),
                                           sparse::as_right(b_slice), sopts);
         },
-        bits_or, absorb, absorb);
+        absorb);
     return cstar;
 }
 

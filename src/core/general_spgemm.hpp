@@ -16,10 +16,12 @@
 //   process column + allgather along the row, as for A* in Algorithm 1; on a
 //   square grid this is the paper's transpose exchange), and for each grid
 //   row a: broadcast the C*_{a,j} mask down the column; masked local multiply
-//   Z,H = A^R[N^r_a, K^r_i] B'_{i,j} masked at C*_{a,j}; tree-reduce Z
-//   (semiring add) and H (bitwise or) onto (a,j); finally merge Z into C and
-//   H into F at mask positions — entries of the mask that received no value
-//   become structural zeros.
+//   Z,H = A^R[N^r_a, K^r_i] B'_{i,j} masked at C*_{a,j}, a partial owned by
+//   (a,j). After the last round one all-to-all down the process column sends
+//   every partial straight to its owner, which folds its own and the
+//   incoming ones (Z by semiring add, H by bitwise or); finally merge Z into
+//   C and H into F at mask positions — entries of the mask that received no
+//   value become structural zeros.
 //
 // The Bloom filter trades false positives (superfluous columns kept) for
 // communication volume; it never loses a contribution (tested property).
@@ -148,17 +150,6 @@ GeneralSpgemmStats general_dynamic_spgemm(
         mask_snapshot = Cstar.local().to_dcsr().serialize();
     }
 
-    auto merge_vb = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<VB>::deserialize(a);
-        auto mb = Dcsr<VB>::deserialize(b);
-        return sparse::dcsr_add(ma, mb,
-                                [](const VB& x, const VB& y) {
-                                    return VB{SR::add(x.value, y.value),
-                                              x.bits | y.bits};
-                                })
-            .serialize();
-    };
-
     // One round per grid row a: mask C*_{a,j} comes down the process column;
     // the A^R rows for output block a are already local in the slab. Round
     // a+1's mask is posted before round a's multiply.
@@ -171,6 +162,10 @@ GeneralSpgemmStats general_dynamic_spgemm(
     std::optional<par::Comm::PendingBcast> inflight;
     if (rows > 0) inflight.emplace(post_mask(0));
 
+    // Round a's partial belongs to (a, j): this rank keeps its own and
+    // queues the others for one exchange after the last round (an empty
+    // partial as a zero-length buffer).
+    std::vector<par::Buffer> z_send(static_cast<std::size_t>(rows));
     Dcsr<VB> z_mine(C.shape().local_rows(), C.shape().local_cols());
     for (int a = 0; a < rows; ++a) {
         Dcsr<std::uint64_t> cstar_aj;
@@ -197,11 +192,22 @@ GeneralSpgemmStats general_dynamic_spgemm(
                 rp.size(a), C.shape().local_cols(), sparse::as_left(ar_slice),
                 sparse::as_right(Bprime.local()), sopts);
         }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer zr =
-                grid.col_comm().reduce_merge(a, z_part.serialize(), merge_vb);
-            if (i == a) z_mine = Dcsr<VB>::deserialize(zr);
+        Profiler::Scope scope(Phase::ReduceScatter);
+        if (a == i)
+            z_mine = std::move(z_part);
+        else if (z_part.nnz() > 0)
+            z_send[static_cast<std::size_t>(a)] = z_part.serialize();
+    }
+    {
+        Profiler::Scope scope(Phase::ReduceScatter);
+        const auto z_recv = grid.col_comm().alltoallv(std::move(z_send));
+        for (const auto& buf : z_recv) {
+            if (buf.empty()) continue;  // own slot, or an empty partial
+            z_mine = sparse::dcsr_add(
+                z_mine, Dcsr<VB>::deserialize(buf),
+                [](const VB& x, const VB& y) {
+                    return VB{SR::add(x.value, y.value), x.bits | y.bits};
+                });
         }
     }
 

@@ -171,8 +171,10 @@ public:
     std::vector<Buffer> allgather(Buffer msg);
     /// Binomial-tree reduction: interior nodes combine their subtree's
     /// buffers with merge(acc, incoming); the fully merged buffer is returned
-    /// at root, an empty buffer elsewhere. This is the primitive behind the
-    /// paper's custom sparse reduce-scatter (Section VI-A).
+    /// at root, an empty buffer elsewhere. It serves the transposed variants
+    /// of the algebraic dynamic SpGEMM, whose reduced block is re-split to
+    /// its owners; the untransposed kernels send each partial to its owner
+    /// with alltoallv instead.
     Buffer reduce_merge(int root, Buffer mine,
                         const std::function<Buffer(Buffer, Buffer)>& merge);
 

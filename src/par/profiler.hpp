@@ -41,7 +41,7 @@ enum class Phase : int {
     Bcast,              ///< row/column block broadcasts
     LocalMult,          ///< local Gustavson multiplications
     Scatter,            ///< distributing reduction inputs
-    ReduceScatter,      ///< sparse tree reduction of partial results
+    ReduceScatter,      ///< sparse reduce-scatter of partial results
     StreamDrain,        ///< waiting on / draining the per-rank update queue
     StreamApply,        ///< epoch application (A* build + ADD/MERGE/MASK)
     Analytics,          ///< epoch-hook maintainer updates (src/analytics/)

@@ -1,5 +1,5 @@
 // Element-wise and structural operations on DCSR matrices: the merge step of
-// the sparse tree reduction (Section VI-A), transposition (Section V-C), the
+// the sparse reductions (Section VI-A), transposition (Section V-C), the
 // row/column block slices that feed the rectangular-grid SUMMA and slab
 // exchanges, and the value/bits splitting helpers of the Bloom machinery.
 #pragma once
@@ -19,7 +19,7 @@ namespace dsg::sparse {
 
 /// C = A (+) B element-wise with add(old, new); structural union. Both inputs
 /// and the output are DCSR with ascending rows (columns unsorted). This is
-/// the combine function of the binomial-tree sparse reduction.
+/// the combine function of the sparse reductions (Section VI-A).
 template <typename V, typename AddOp>
 Dcsr<V> dcsr_add(const Dcsr<V>& a, const Dcsr<V>& b, AddOp&& add) {
     Dcsr<V> out(a.nrows(), a.ncols());

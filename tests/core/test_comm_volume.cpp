@@ -139,25 +139,47 @@ TEST_P(CommVolumeP, SummaWithBloomFilter) {
                    });
 }
 
+/// Algorithm 1 on both operands: the traffic of one update.
+Traffic algebraic_dynamic_spgemm(Comm& c, Fixture& fx) {
+    using SR = PlusTimes<double>;
+    auto A = fx.matrix<SR>(300);
+    auto B = fx.matrix<SR>(300);
+    auto C = core::summa_multiply<SR>(A, B);
+    const auto Astar = fx.update(12);
+    const auto Bstar = fx.update(12);
+    core::add_update<SR>(B, Bstar);
+    return measure(
+        c, [&] { core::dynamic_spgemm_algebraic<SR>(C, A, Astar, B, Bstar); });
+}
+
 TEST_P(CommVolumeP, AlgebraicDynamicSpgemm) {
-    expect_traffic({{0, 1336, 13664, 2368, 0, 32}, {0, 2064, 30128, 5328, 0, 54}},
-                   [](Comm& c, Fixture& fx) {
-                       using SR = PlusTimes<double>;
-                       auto A = fx.matrix<SR>(300);
-                       auto B = fx.matrix<SR>(300);
-                       auto C = core::summa_multiply<SR>(A, B);
-                       const auto Astar = fx.update(12);
-                       const auto Bstar = fx.update(12);
-                       core::add_update<SR>(B, Bstar);
-                       return measure(c, [&] {
-                           core::dynamic_spgemm_algebraic<SR>(C, A, Astar, B,
-                                                              Bstar);
-                       });
-                   });
+    expect_traffic({{0, 15000, 0, 2368, 0, 24}, {0, 32192, 0, 5328, 0, 36}},
+                   algebraic_dynamic_spgemm);
+}
+
+// Four ranks on one communicator, where a binomial-tree reduction would
+// re-send merged subtrees: each partial crosses once, straight to its owner.
+// 1x4 carries the Y partials along a four-rank process row, 4x1 the X
+// partials down a four-rank process column.
+TEST(CommVolume, AlgebraicDynamicSpgemmOnFourRankCommunicators) {
+    const std::pair<GridCase, Traffic> pins[] = {
+        {{1, 4}, {0, 14872, 0, 3552, 0, 24}},
+        {{4, 1}, {0, 9144, 0, 3552, 0, 24}},
+    };
+    for (const auto& [gc, want] : pins) {
+        SCOPED_TRACE(::testing::Message() << gc);
+        run_world(gc.p(), [&](Comm& c) {
+            Fixture fx(c, gc);
+            const Traffic got = algebraic_dynamic_spgemm(c, fx);
+            if (c.rank() == 0) {
+                EXPECT_EQ(got, want);
+            }
+        });
+    }
 }
 
 TEST_P(CommVolumeP, ComputePattern) {
-    expect_traffic({{0, 1336, 13456, 2368, 0, 32}, {0, 2064, 29776, 5328, 0, 54}},
+    expect_traffic({{0, 14792, 0, 2368, 0, 24}, {0, 31840, 0, 5328, 0, 36}},
                    [](Comm& c, Fixture& fx) {
                        using SR = MinPlus<double>;
                        auto A = fx.matrix<SR>(300);
@@ -171,7 +193,7 @@ TEST_P(CommVolumeP, ComputePattern) {
 }
 
 TEST_P(CommVolumeP, GeneralDynamicSpgemm) {
-    expect_traffic({{10048, 4640, 11632, 11312, 0, 40}, {20208, 9408, 26000, 44880, 0, 60}},
+    expect_traffic({{10048, 16272, 0, 11312, 0, 36}, {20208, 35408, 0, 44880, 0, 54}},
                    [](Comm& c, Fixture& fx) {
                        using SR = MinPlus<double>;
                        auto A = fx.matrix<SR>(300);
@@ -212,7 +234,7 @@ TEST_P(CommVolumeP, TwoPhaseRedistribution) {
 // edges and MASKs present ones; rank 0 also ADDs and MASKs one fresh edge.
 TEST_P(CommVolumeP, LiveTriangleEpoch) {
     expect_traffic(
-        {{0, 5848, 23984, 6368, 0, 84}, {0, 10824, 59040, 14352, 0, 138}},
+        {{0, 29384, 0, 6368, 0, 68}, {0, 68856, 0, 14352, 0, 102}},
         [](Comm& c, Fixture& fx) {
             analytics::LiveTriangleMaintainer maint(fx.grid, fx.n);
             maint.seed(fx.tuples(150));
