@@ -179,9 +179,9 @@ public:
     }
 
 private:
-    // Collective: one scalar all-reduce over an O(local nnz) rescan of the
-    // derived state — simple over incremental, and the cost is what
-    // bench_analytics_latency measures (same tradeoff in all maintainers).
+    // Collective: one scalar all-reduce of the counter's incrementally kept
+    // share, so publishing costs no scan. The distance and contraction
+    // maintainers instead rescan their local derived state on publish.
     void publish() {
         count_.store(counter_.count(), std::memory_order_release);
     }

@@ -32,6 +32,12 @@
 // incoming partial into C with the semiring addition, so each partial
 // crosses rank boundaries once.
 //
+// Absorb rule (all three variants, and the optional C* output): an entry
+// whose sum equals SR::zero() is erased on the spot, and a zero() partial
+// value creates no entry (DynamicMatrix::add_or_erase). C therefore never
+// stores a structural zero, and the cancellations of a ring deletion
+// (a* = -a, Sec. V) cost O(nnz(C*)) rather than a prune over all of C.
+//
 // Communication volume is O((nnz(A*) + nnz(B*) + nnz(C*)) / sqrt(p)) versus
 // SUMMA's O((nnz(A) + nnz(B')) / sqrt(p)).
 #pragma once
@@ -236,11 +242,11 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
     auto absorb = [&](const Dcsr<T>& reduced) {
         par::Profiler::Scope scope(par::Phase::LocalAddition);
         reduced.for_each([&](index_t u, index_t v, const T& x) {
-            C.local().insert_or_add(u, v, x, SR::add);
+            C.local().add_or_erase(u, v, x, SR::add, SR::zero());
             // Optionally collect C* itself (distributed), e.g. to feed the
             // next stage of a chained product (graph contraction).
             if (cstar_out != nullptr)
-                cstar_out->local().insert_or_add(u, v, x, SR::add);
+                cstar_out->local().add_or_erase(u, v, x, SR::add, SR::zero());
         });
     };
     detail::algebraic_rounds<T, T>(
@@ -310,13 +316,14 @@ void dynamic_spgemm_algebraic_transA(DistDynamicMatrix<T>& C,
     auto absorb = [&](const Dcsr<T>& reduced) {
         Profiler::Scope scope(Phase::LocalAddition);
         reduced.for_each([&](index_t u, index_t v, const T& x) {
-            C.local().insert_or_add(u, v, x, SR::add);
+            C.local().add_or_erase(u, v, x, SR::add, SR::zero());
         });
     };
     auto absorb_triples = [&](const std::vector<Triple<T>>& ts) {
         Profiler::Scope scope(Phase::LocalAddition);
         for (const auto& t : ts)
-            C.local().insert_or_add(t.row, t.col, t.value, SR::add);
+            C.local().add_or_erase(t.row, t.col, t.value, SR::add,
+                                   SR::zero());
     };
 
     // Row slabs: A*[K^r_i, :] (n global cols) and B*[K^r_i, :] (m global
@@ -455,7 +462,8 @@ void dynamic_spgemm_algebraic_transB(DistDynamicMatrix<T>& C,
     auto absorb_triples = [&](const std::vector<Triple<T>>& ts) {
         Profiler::Scope scope(Phase::LocalAddition);
         for (const auto& t : ts)
-            C.local().insert_or_add(t.row, t.col, t.value, SR::add);
+            C.local().add_or_erase(t.row, t.col, t.value, SR::add,
+                                   SR::zero());
     };
     // Splits a reduced block whose columns live in B's row block u (global
     // offset mrp.offset(u)) by C's column owners and forwards the pieces to

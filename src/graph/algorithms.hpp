@@ -17,12 +17,10 @@
 // src/analytics/graph_maintainers.hpp.
 #pragma once
 
-#include <cmath>
 #include <stdexcept>
 #include <vector>
 
 #include "core/dynamic_spgemm.hpp"
-#include "core/ewise.hpp"
 #include "core/summa.hpp"
 #include "core/update_ops.hpp"
 #include "par/buffer.hpp"
@@ -92,7 +90,12 @@ inline double triangle_count(const DistDynamicMatrix<double>& A,
 /// The distributive expansion A'A' = AA + A A* + A* A' maintains C in two
 /// passes of Algorithm 1 (first Y = A A* with the pre-update A, then apply
 /// the update, then X = A* A' with the post-update A), avoiding a second
-/// copy of A.
+/// copy of A. Algorithm 1 erases every C entry that cancels to zero as it
+/// absorbs, so neither matrix ever stores a zero.
+///
+/// The count is kept incrementally: each rank holds its share of
+/// sum(C .* A) = 6 * triangles and moves it by three sums over its block
+/// of A*, so no step of a batch scans all of A or C.
 class DynamicTriangleCounter {
 public:
     DynamicTriangleCounter(ProcessGrid& grid, sparse::index_t n,
@@ -109,13 +112,18 @@ public:
         core::add_update<sparse::PlusTimes<double>>(a_, update, pool_);
         c_ = core::summa_multiply<sparse::PlusTimes<double>>(a_, a_,
                                                              summa_opts());
+        share_ = c_weighted_by(a_.local());
     }
 
     /// Applies one batch of signed edge updates, both directions of each
     /// undirected edge: value +1 inserts an edge not yet in the graph, -1
-    /// removes one that is. The numerically cancelled entries are then
-    /// pruned, so removed edges leave no structural zeros in A, nor do C
-    /// entries whose last two-hop path went away. Collective.
+    /// removes one that is. Removed edges are erased from A before pass 2,
+    /// and C entries whose last two-hop path went away are erased by
+    /// Algorithm 1 itself: the work outside the two passes is O(nnz(A*)).
+    ///
+    /// The count share moves by s0 + s1 + s2, where s_k = sum(C .* A*) read
+    /// before pass 1, after pass 1 and after pass 2. For symmetric A and A*
+    /// they add up to tr((A + A*)^3) - tr(A^3). Collective.
     void update(std::vector<sparse::Triple<double>> edges) {
         ProcessGrid& grid = a_.shape().grid();
         const auto n = a_.shape().nrows();
@@ -123,30 +131,30 @@ public:
         DistDcsr<double> empty(grid, n, n);
         core::DynamicSpgemmOptions opts;
         opts.pool = pool_;
+        share_ += c_weighted_by(astar.local());
         // Pass 1: C += A_old * A*   (left update matrix empty).
         core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
             c_, a_, empty, a_, astar, opts);
-        // Apply the update: A <- A + A*.
+        share_ += c_weighted_by(astar.local());
+        // Apply the update: A <- A + A*, then erase the removed edges so
+        // pass 2 does not multiply against them.
         core::add_update<sparse::PlusTimes<double>>(a_, astar, pool_);
+        astar.local().for_each([&](sparse::index_t i, sparse::index_t j,
+                                   double) {
+            const double* v = a_.local().find(i, j);
+            if (v != nullptr && *v == 0.0) a_.local().erase(i, j);
+        });
         // Pass 2: C += A* * A_new  (right update matrix empty).
         core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
             c_, a_, astar, a_, empty, opts);
-        const auto cancelled = [](sparse::index_t, sparse::index_t, double v) {
-            return std::abs(v) < 1e-12;
-        };
-        core::ewise_prune(a_, cancelled);
-        core::ewise_prune(c_, cancelled);
+        share_ += c_weighted_by(astar.local());
     }
 
-    /// Current triangle count: sum of C under the mask A, divided by 6.
-    /// Collective (one scalar all-reduce; no matrix communication).
+    /// Current triangle count: the ranks' shares of sum(C .* A), divided by
+    /// 6. Collective (one scalar all-reduce; no other work).
     [[nodiscard]] double count() const {
-        double local = 0.0;
-        a_.local().for_each([&](sparse::index_t i, sparse::index_t j, double) {
-            if (const double* v = c_.local().find(i, j)) local += *v;
-        });
         const double total = a_.shape().grid().world().allreduce<double>(
-            local, [](double x, double y) { return x + y; });
+            share_, [](double x, double y) { return x + y; });
         return total / 6.0;
     }
 
@@ -156,7 +164,8 @@ public:
     [[nodiscard]] const DistDynamicMatrix<double>& square() const { return c_; }
 
     /// Rank-local checkpoint of A and C = A·A (src/persist/); pair with
-    /// load() on an identically constructed counter on the same grid.
+    /// load() on an identically constructed counter on the same grid. The
+    /// count share is not stored: load() rescans it from A and C.
     void save(par::Buffer& out) const {
         a_.local().serialize(out);
         c_.local().serialize(out);
@@ -164,6 +173,7 @@ public:
     void load(par::BufferReader& in) {
         detail::restore_local_block(a_, in);
         detail::restore_local_block(c_, in);
+        share_ = c_weighted_by(a_.local());
     }
 
 private:
@@ -173,8 +183,20 @@ private:
         return opts;
     }
 
+    /// sum(C .* M) over this rank's block: one lookup into C per entry of
+    /// M, a local block of A or A* in C's distribution.
+    template <typename Block>
+    double c_weighted_by(const Block& m) const {
+        double sum = 0.0;
+        m.for_each([&](sparse::index_t i, sparse::index_t j, double v) {
+            if (const double* c = c_.local().find(i, j)) sum += *c * v;
+        });
+        return sum;
+    }
+
     DistDynamicMatrix<double> a_;
     DistDynamicMatrix<double> c_;
+    double share_ = 0.0;  // this rank's part of sum(C .* A) = 6 * triangles
     par::ThreadPool* pool_;
 };
 

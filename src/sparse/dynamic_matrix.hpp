@@ -106,21 +106,32 @@ public:
         });
     }
 
+    /// Adds value into (i, j) via add(old, value) and removes the entry when
+    /// the sum equals `zero`; a `zero` value never creates an entry. Given
+    /// the semiring's zero(), this keeps structural zeros out of the matrix
+    /// at O(1) expected per cancellation (Algorithm 1's absorb step).
+    template <typename AddFn>
+    void add_or_erase(index_t i, index_t j, const T& value, AddFn&& add,
+                      const T& zero) {
+        assert(i >= 0 && i < nrows_ && j >= 0 && j < ncols_);
+        auto& row = rows_[static_cast<std::size_t>(i)];
+        const std::size_t pos = locate(row, j);
+        if (pos == npos) {
+            if (!(value == zero)) append_entry(i, j, value);
+            return;
+        }
+        T& slot = row.entries[pos].value;
+        slot = add(slot, value);
+        if (slot == zero) remove_at(row, pos);
+    }
+
     /// Removes (i, j); returns whether it existed. O(1) expected.
     bool erase(index_t i, index_t j) {
         assert(i >= 0 && i < nrows_ && j >= 0 && j < ncols_);
         auto& row = rows_[static_cast<std::size_t>(i)];
         const std::size_t pos = locate(row, j);
         if (pos == npos) return false;
-        const std::size_t last = row.entries.size() - 1;
-        if (pos != last) {
-            row.entries[pos] = row.entries[last];
-            if (auto* p = row.index.find(row.entries[pos].col))
-                *p = static_cast<std::uint32_t>(pos);
-        }
-        row.entries.pop_back();
-        row.index.erase(j);
-        --nnz_;
+        remove_at(row, pos);
         return true;
     }
 
@@ -187,6 +198,9 @@ public:
             if (i < 0 || i >= m.nrows_ || j < 0 || j >= m.ncols_)
                 throw par::TruncatedBufferError(
                     "dynamic-matrix tile entry out of bounds");
+            if (m.contains(i, j))
+                throw par::TruncatedBufferError(
+                    "dynamic-matrix tile repeats an entry");
             m.append_entry(i, j, v);
         });
         return m;
@@ -219,8 +233,23 @@ private:
         return npos;
     }
 
-    /// Appends (i, j) to its row WITHOUT checking for a duplicate — only for
-    /// entry streams already known duplicate-free (deserialize).
+    /// Swap-removes the entry at slot pos of row: the row's last entry moves
+    /// into the hole and its index slot follows it.
+    void remove_at(Row& row, std::size_t pos) {
+        const index_t j = row.entries[pos].col;
+        const std::size_t last = row.entries.size() - 1;
+        if (pos != last) {
+            row.entries[pos] = row.entries[last];
+            if (auto* p = row.index.find(row.entries[pos].col))
+                *p = static_cast<std::uint32_t>(pos);
+        }
+        row.entries.pop_back();
+        row.index.erase(j);
+        --nnz_;
+    }
+
+    /// Appends (i, j) to its row WITHOUT checking for a duplicate — callers
+    /// have located (i, j) as absent first.
     void append_entry(index_t i, index_t j, const T& value) {
         auto& row = rows_[static_cast<std::size_t>(i)];
         row.entries.push_back({j, value});

@@ -66,8 +66,9 @@ CoordMap reference_add(CoordMap a, const std::vector<Triple<double>>& updates) {
 }
 
 /// Expects the distributed matrix to hold exactly `expect` up to numerically
-/// zero extras (dynamic results may retain structural entries whose value is
-/// the additive identity of the +,* ring after cancellation).
+/// zero extras. Algorithm 1 erases every entry that cancels to exactly
+/// zero, so the only extras left are inexact floating-point residues of a
+/// cancellation (non-integer values that do not sum back to 0.0).
 inline void expect_matches(const DistDynamicMatrix<double>& m,
                            const CoordMap& expect, double tol = 1e-9) {
     const CoordMap got = as_map(m.gather_global());

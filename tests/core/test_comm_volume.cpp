@@ -234,7 +234,7 @@ TEST_P(CommVolumeP, TwoPhaseRedistribution) {
 // edges and MASKs present ones; rank 0 also ADDs and MASKs one fresh edge.
 TEST_P(CommVolumeP, LiveTriangleEpoch) {
     expect_traffic(
-        {{0, 29384, 0, 6368, 0, 68}, {0, 68856, 0, 14352, 0, 102}},
+        {{0, 26600, 0, 6368, 0, 68}, {0, 62632, 0, 14352, 0, 102}},
         [](Comm& c, Fixture& fx) {
             analytics::LiveTriangleMaintainer maint(fx.grid, fx.n);
             maint.seed(fx.tuples(150));

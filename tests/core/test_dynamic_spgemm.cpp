@@ -5,6 +5,7 @@
 // batches.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "common/grid_shapes.hpp"
@@ -145,6 +146,55 @@ TEST_P(DynSpgemmP, RingDeletionsViaNegativeUpdates) {
         core::add_update<PlusTimes<double>>(A, Astar);
         test::expect_matches(C,
                              reference_multiply<PlusTimes<double>>(am, as_map(tb)));
+    });
+}
+
+TEST_P(DynSpgemmP, CancelledEntriesAreErasedNotStored) {
+    // Integer-valued operands, so a deletion a* = -a cancels exactly: every
+    // entry of C whose last contribution goes away sums to 0.0, and the
+    // absorb must erase it rather than store it.
+    const GridCase gc = GetParam();
+    dsg::test::run_case(gc, [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        std::mt19937_64 rng(350);
+        const index_t n = 18;
+        auto integral = [&](int count) {
+            auto ts = random_triples(rng, n, n, count);
+            for (auto& t : ts) t.value = std::floor(t.value);
+            sparse::combine_duplicates<PlusTimes<double>>(ts);
+            return ts;
+        };
+        const auto ta = integral(70);
+        const auto tb = integral(70);
+        auto feed = [&](const std::vector<Triple<double>>& ts) {
+            return c.rank() == 0 ? ts : std::vector<Triple<double>>{};
+        };
+        auto A = build_dynamic_matrix<PlusTimes<double>>(grid, n, n, feed(ta));
+        auto B = build_dynamic_matrix<PlusTimes<double>>(grid, n, n, feed(tb));
+        auto C = summa_multiply<PlusTimes<double>>(A, B);
+
+        // A* deletes every third entry of A.
+        std::vector<Triple<double>> negs;
+        CoordMap am = as_map(ta);
+        for (std::size_t x = 0; x < ta.size(); x += 3) {
+            negs.push_back({ta[x].row, ta[x].col, -ta[x].value});
+            am.erase({ta[x].row, ta[x].col});
+        }
+        const CoordMap expect =
+            reference_multiply<PlusTimes<double>>(am, as_map(tb));
+        std::size_t emptied = 0;  // entries of A B that A' B lacks
+        for (const auto& [coord, v] :
+             reference_multiply<PlusTimes<double>>(as_map(ta), as_map(tb)))
+            emptied += expect.count(coord) == 0 ? 1 : 0;
+        ASSERT_GT(emptied, 0u);
+
+        auto Astar = build_update_matrix(grid, n, n, feed(negs));
+        core::DistDcsr<double> Bstar(grid, n, n);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+        test::expect_matches_exactly(C, expect);
+        for (const auto& t : C.gather_global())
+            EXPECT_NE(t.value, 0.0) << "stored zero at (" << t.row << ", "
+                                    << t.col << ")";
     });
 }
 

@@ -317,11 +317,14 @@ INSTANTIATE_TEST_SUITE_P(Worlds, AlgoP, ::testing::Values(1, 4));
 
 class TriangleCounterG : public ::testing::TestWithParam<dsg::test::GridCase> {};
 
-// One batch that inserts and removes at once: A* holds +1 and -1 entries,
-// and some entry of C receives contributions of both signs within one pass
-// of Algorithm 1 (checked on the input below). The counter must equal a
-// from-scratch count, hold exactly the live edges, and keep C = A·A entry
-// for entry with no stored zeros.
+// Three batches that each insert and remove at once: A* holds +1 and -1
+// entries, and in the first some entry of C receives contributions of both
+// signs within one pass of Algorithm 1 (checked on the input below).
+// Between the second and the third batch the counter round-trips through
+// save/load into a freshly constructed one, which rescans its count share.
+// After every batch the count must equal a brute-force count, the counter
+// must hold exactly the live edges, and C = A·A entry for entry with no
+// stored zeros.
 TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
     const dsg::test::GridCase gc = GetParam();
     dsg::test::run_case(gc, [&](Comm& c) {
@@ -332,11 +335,12 @@ TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
         for (const auto& e : graph::simplify(graph::symmetrize(all)))
             if (e.row < e.col) undirected.push_back({e.row, e.col, 1.0});
 
-        // Seed the first two thirds of the edges. The batch removes every
-        // third seeded edge and inserts the last third. All three lists hold
-        // both directions of each edge; live is the graph after the batch.
+        // Seed the first two thirds of the edges. The first batch removes
+        // every third seeded edge and inserts the last third. All lists hold
+        // both directions of each edge; live is the graph after a batch.
         const std::size_t seeded = 2 * undirected.size() / 3;
         std::vector<Triple<double>> seed, batch, live;
+        std::vector<bool> in(undirected.size());  // edge x is live
         auto both = [](std::vector<Triple<double>>& out, const Triple<double>& e,
                        double value) {
             out.push_back({e.row, e.col, value});
@@ -347,12 +351,14 @@ TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
             if (x >= seeded) {
                 both(batch, e, 1.0);
                 both(live, e, 1.0);
+                in[x] = true;
             } else if (x % 3 == 0) {
                 both(seed, e, 1.0);
                 both(batch, e, -1.0);
             } else {
                 both(seed, e, 1.0);
                 both(live, e, 1.0);
+                in[x] = true;
             }
         }
         std::vector<std::vector<double>> a_old(n, std::vector<double>(n)),
@@ -371,6 +377,28 @@ TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
             }
         ASSERT_TRUE(mixed);
 
+        // Batch b > 1 removes the live edges with x % 5 == b and inserts the
+        // absent ones with x % 2 == b % 2; live follows.
+        auto next_batch = [&](std::size_t b) {
+            std::vector<Triple<double>> out;
+            live.clear();
+            bool inserts = false, removes = false;
+            for (std::size_t x = 0; x < undirected.size(); ++x) {
+                if (in[x] && x % 5 == b) {
+                    both(out, undirected[x], -1.0);
+                    in[x] = false;
+                    removes = true;
+                } else if (!in[x] && x % 2 == b % 2) {
+                    both(out, undirected[x], 1.0);
+                    in[x] = true;
+                    inserts = true;
+                }
+                if (in[x]) both(live, undirected[x], 1.0);
+            }
+            EXPECT_TRUE(inserts && removes) << "batch " << b;
+            return out;
+        };
+
         // Every rank contributes a share of each batch.
         auto share = [&](const std::vector<Triple<double>>& ts) {
             std::vector<Triple<double>> mine;
@@ -379,19 +407,35 @@ TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
                 mine.push_back(ts[x]);
             return mine;
         };
+        auto expect_live = [&](const DynamicTriangleCounter& counter, int b) {
+            EXPECT_DOUBLE_EQ(counter.count(),
+                             static_cast<double>(brute_force_triangles(live, n)))
+                << "batch " << b;
+            EXPECT_EQ(counter.adjacency().global_nnz(), live.size());
+            const auto& A = counter.adjacency();
+            const auto C = core::summa_multiply<sparse::PlusTimes<double>>(A, A);
+            dsg::test::expect_matches_exactly(counter.square(),
+                                              dsg::test::as_map(C.gather_global()));
+            for (const auto& t : counter.square().gather_global())
+                EXPECT_NE(t.value, 0.0) << "batch " << b << ": stored zero at ("
+                                        << t.row << ", " << t.col << ")";
+        };
+
         DynamicTriangleCounter counter(grid, n);
         counter.initialize(share(seed));
         counter.update(share(batch));
+        expect_live(counter, 1);
+        counter.update(share(next_batch(2)));
+        expect_live(counter, 2);
 
-        EXPECT_DOUBLE_EQ(counter.count(),
-                         static_cast<double>(brute_force_triangles(live, n)));
-        EXPECT_EQ(counter.adjacency().global_nnz(), live.size());
-        const auto& A = counter.adjacency();
-        const auto C = core::summa_multiply<sparse::PlusTimes<double>>(A, A);
-        dsg::test::expect_matches_exactly(counter.square(),
-                                          dsg::test::as_map(C.gather_global()));
-        for (const auto& t : counter.square().gather_global())
-            EXPECT_NE(t.value, 0.0) << "stored zero at (" << t.row << ", " << t.col << ")";
+        par::Buffer saved;
+        counter.save(saved);
+        DynamicTriangleCounter restored(grid, n);
+        par::BufferReader in_saved(saved);
+        restored.load(in_saved);
+        EXPECT_DOUBLE_EQ(restored.count(), counter.count());
+        restored.update(share(next_batch(3)));
+        expect_live(restored, 3);
     });
 }
 

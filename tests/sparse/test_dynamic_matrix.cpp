@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <map>
 #include <random>
 
+#include "par/buffer.hpp"
 #include "sparse/dynamic_matrix.hpp"
 
 namespace {
 
+using dsg::par::TruncatedBufferError;
+using dsg::sparse::Dcsr;
 using dsg::sparse::DynamicMatrix;
 using dsg::sparse::index_t;
 
@@ -49,6 +54,80 @@ TEST(DynamicMatrix, EraseSwapsKeepRowConsistent) {
         ASSERT_NE(m.find(0, j), nullptr) << j;
         EXPECT_EQ(*m.find(0, j), static_cast<int>(j));
     }
+}
+
+// add_or_erase on a row of `width` entries (col j holds j + 1): a sum to
+// zero removes the entry, and every other entry stays findable with its
+// value, including the one the swap-remove moved into the hole.
+void expect_cancel_removes_entry(index_t width) {
+    auto plus = [](double a, double b) { return a + b; };
+    DynamicMatrix<double> m(2, 64);
+    for (index_t j = 0; j < width; ++j)
+        m.insert_or_assign(1, j, static_cast<double>(j + 1));
+    m.add_or_erase(1, 2, 1.0, plus, 0.0);  // 3 + 1: kept
+    EXPECT_EQ(*m.find(1, 2), 4.0);
+    m.add_or_erase(1, 2, -4.0, plus, 0.0);  // cancels: removed
+    m.add_or_erase(1, 0, -1.0, plus, 0.0);
+    EXPECT_EQ(m.nnz(), static_cast<std::size_t>(width - 2));
+    EXPECT_EQ(m.row_size(1), static_cast<std::size_t>(width - 2));
+    EXPECT_FALSE(m.contains(1, 2));
+    EXPECT_FALSE(m.contains(1, 0));
+    for (index_t j = 0; j < width; ++j) {
+        if (j == 0 || j == 2) continue;
+        const double* v = m.find(1, j);
+        ASSERT_NE(v, nullptr) << j;
+        EXPECT_EQ(*v, static_cast<double>(j + 1)) << j;
+    }
+    for (const auto& e : m.row(1)) EXPECT_NE(e.value, 0.0) << e.col;
+}
+
+TEST(DynamicMatrix, AddOrEraseCancelsOnShortRow) {
+    expect_cancel_removes_entry(5);
+}
+
+TEST(DynamicMatrix, AddOrEraseCancelsOnIndexedRow) {
+    expect_cancel_removes_entry(DynamicMatrix<double>::kIndexThreshold + 12);
+}
+
+TEST(DynamicMatrix, AddOrEraseNeverStoresZero) {
+    auto plus = [](double a, double b) { return a + b; };
+    DynamicMatrix<double> m(2, 2);
+    m.add_or_erase(0, 1, 0.0, plus, 0.0);  // zero at an absent coordinate
+    m.add_or_erase(1, 0, -0.0, plus, 0.0);  // -0.0 == 0.0
+    EXPECT_EQ(m.nnz(), 0u);
+    m.add_or_erase(0, 1, 2.5, plus, 0.0);
+    EXPECT_EQ(*m.find(0, 1), 2.5);
+    m.add_or_erase(0, 1, -2.5, plus, -0.0);  // sums to +0.0, equal to -0.0
+    EXPECT_EQ(m.nnz(), 0u);
+    // Under (min,+) the zero is +inf: adding it creates nothing.
+    const double inf = std::numeric_limits<double>::infinity();
+    auto min = [](double a, double b) { return std::min(a, b); };
+    m.add_or_erase(1, 1, inf, min, inf);
+    EXPECT_EQ(m.nnz(), 0u);
+    m.add_or_erase(1, 1, 3.0, min, inf);
+    m.add_or_erase(1, 1, inf, min, inf);
+    EXPECT_EQ(*m.find(1, 1), 3.0);
+}
+
+// A checkpoint tile that holds one coordinate twice is corrupt: a repeated
+// entry would survive erase() as a ghost that for_each still yields.
+void expect_repeated_entry_rejected(index_t width) {
+    Dcsr<double> tile(2, 64);
+    tile.begin_row(1);
+    for (index_t j = 0; j < width; ++j) tile.push_entry(j, 1.0);
+    tile.push_entry(3, 2.0);
+    const dsg::par::Buffer wire = tile.serialize();
+    dsg::par::BufferReader r(wire);
+    EXPECT_THROW((void)DynamicMatrix<double>::deserialize(r),
+                 TruncatedBufferError);
+}
+
+TEST(DynamicMatrix, DeserializeRejectsRepeatedEntryInShortRow) {
+    expect_repeated_entry_rejected(4);
+}
+
+TEST(DynamicMatrix, DeserializeRejectsRepeatedEntryInIndexedRow) {
+    expect_repeated_entry_rejected(DynamicMatrix<double>::kIndexThreshold + 4);
 }
 
 TEST(DynamicMatrix, LongRowsBuildHashIndex) {
