@@ -178,6 +178,104 @@ TEST(CommVolume, AlgebraicDynamicSpgemmOnFourRankCommunicators) {
     }
 }
 
+/// The inputs of algebraic_dynamic_spgemm, B already updated: A, B, A*, B*.
+struct Operands {
+    DistDynamicMatrix<double> A, B;
+    DistDcsr<double> Astar, Bstar;
+    DistDcsr<double> empty;
+
+    explicit Operands(Fixture& fx)
+        : A(fx.matrix<PlusTimes<double>>(300)),
+          B(fx.matrix<PlusTimes<double>>(300)),
+          Astar(fx.update(12)),
+          Bstar(fx.update(12)),
+          empty(fx.grid, fx.n, fx.n) {
+        core::add_update<PlusTimes<double>>(B, Bstar);
+    }
+};
+
+TEST_P(CommVolumeP, AlgebraicTermOfLeftUpdate) {
+    expect_traffic({{0, 6224, 0, 1216, 0, 24}, {0, 11984, 0, 3600, 0, 36}},
+                   [](Comm& c, Fixture& fx) {
+                       using SR = PlusTimes<double>;
+                       Operands o(fx);
+                       DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+                       return measure(c, [&] {
+                           core::dynamic_spgemm_algebraic<SR>(C, o.A, o.Astar,
+                                                              o.B, o.empty);
+                       });
+                   });
+}
+
+TEST_P(CommVolumeP, AlgebraicTermOfRightUpdate) {
+    expect_traffic({{0, 8840, 0, 1216, 0, 24}, {0, 20352, 0, 1872, 0, 36}},
+                   [](Comm& c, Fixture& fx) {
+                       using SR = PlusTimes<double>;
+                       Operands o(fx);
+                       DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+                       return measure(c, [&] {
+                           core::dynamic_spgemm_algebraic<SR>(C, o.A, o.empty,
+                                                              o.B, o.Bstar);
+                       });
+                   });
+}
+
+TEST_P(CommVolumeP, TransposedLeftBothTerms) {
+    expect_traffic(
+        {{0, 0, 13264, 3296, 6192, 24}, {0, 0, 27032, 9856, 21720, 42}},
+        [](Comm& c, Fixture& fx) {
+            using SR = PlusTimes<double>;
+            Operands o(fx);
+            DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+            return measure(c, [&] {
+                core::dynamic_spgemm_algebraic_transA<SR>(C, o.A, o.Astar, o.B,
+                                                          o.Bstar);
+            });
+        });
+}
+
+// The shape of DynamicContraction's second stage: only A^T B*.
+TEST_P(CommVolumeP, TransposedLeftTermOfRightUpdate) {
+    expect_traffic(
+        {{0, 0, 7824, 1872, 6192, 24}, {0, 0, 15928, 5632, 21720, 42}},
+        [](Comm& c, Fixture& fx) {
+            using SR = PlusTimes<double>;
+            Operands o(fx);
+            DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+            return measure(c, [&] {
+                core::dynamic_spgemm_algebraic_transA<SR>(C, o.A, o.empty, o.B,
+                                                          o.Bstar);
+            });
+        });
+}
+
+TEST_P(CommVolumeP, TransposedRightBothTerms) {
+    expect_traffic(
+        {{0, 0, 14016, 3296, 6968, 24}, {0, 0, 35616, 4928, 38016, 36}},
+        [](Comm& c, Fixture& fx) {
+            using SR = PlusTimes<double>;
+            Operands o(fx);
+            DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+            return measure(c, [&] {
+                core::dynamic_spgemm_algebraic_transB<SR>(C, o.A, o.Astar, o.B,
+                                                          o.Bstar);
+            });
+        });
+}
+
+// The shape of minplus-general's call: B* is empty, and COMPUTEPATTERN
+// still runs both terms.
+TEST_P(CommVolumeP, ComputePatternOfLeftUpdate) {
+    expect_traffic({{0, 6224, 0, 1216, 0, 24}, {0, 11984, 0, 3600, 0, 36}},
+                   [](Comm& c, Fixture& fx) {
+                       Operands o(fx);
+                       return measure(c, [&] {
+                           (void)core::compute_pattern(o.A, o.Astar, o.B,
+                                                       o.empty);
+                       });
+                   });
+}
+
 TEST_P(CommVolumeP, ComputePattern) {
     expect_traffic({{0, 14792, 0, 2368, 0, 24}, {0, 31840, 0, 5328, 0, 36}},
                    [](Comm& c, Fixture& fx) {
