@@ -56,8 +56,7 @@ Row run_one(std::size_t batch_size) {
             std::size_t ar = 0;
             const double ms = timed_ms(comm, [&] {
                 auto Astar = core::build_update_matrix(grid, n, n, batch);
-                core::DistDcsr<double> Bstar(grid, n, n);
-                auto Cstar = core::compute_pattern(A, Astar, B, Bstar);
+                auto Cstar = core::compute_pattern(Astar, B);
                 auto U = core::build_update_matrix(grid, n, n, batch);
                 core::merge_update(A, U);
                 core::GeneralSpgemmOptions gopts;

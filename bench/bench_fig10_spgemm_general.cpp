@@ -81,8 +81,7 @@ Times run_one(const Workload& wl, std::size_t batch_size) {
             std::size_t ar = 0, aprime = 0;
             ours += timed_ms(comm, [&] {
                 auto Astar = core::build_update_matrix(grid, n, n, batch);
-                core::DistDcsr<double> Bstar(grid, n, n);
-                auto Cstar = core::compute_pattern(A, Astar, B, Bstar);
+                auto Cstar = core::compute_pattern(Astar, B);
                 auto U = core::build_update_matrix(grid, n, n, batch);
                 core::merge_update(A, U);  // general update (not min-folded)
                 auto st = core::general_dynamic_spgemm<sparse::MinPlus<double>>(

@@ -44,9 +44,8 @@ Row run_p(int p) {
         reset_stats(comm);
         const double ms = timed_ms(comm, [&] {
             auto Astar = core::build_update_matrix(grid, n, n, batch);
-            core::DistDcsr<double> Bstar(grid, n, n);
-            core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-                C, A, Astar, B, Bstar);
+            core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(C, Astar,
+                                                                      B);
             core::add_update<sparse::PlusTimes<double>>(A, Astar);
         });
         comm.barrier();

@@ -33,22 +33,19 @@ std::vector<double> run_p(int p) {
         perm.apply(mine);
         auto B = core::build_dynamic_matrix<sparse::PlusTimes<double>>(
             grid, n, n, mine);
-        core::DistDynamicMatrix<double> A(grid, n, n);
         core::DistDynamicMatrix<double> C(grid, n, n);
         std::mt19937_64 rng(3 + static_cast<std::uint64_t>(comm.rank()));
         std::vector<Triple<double>> batch;
         for (std::size_t x = 0; x < kPerRank; ++x)
             batch.push_back(mine[rng() % mine.size()]);
         auto Astar = core::build_update_matrix(grid, n, n, batch);
-        core::DistDcsr<double> Bstar(grid, n, n);
         comm.barrier();
         if (comm.rank() == 0) {
             par::Profiler::reset();
             par::Profiler::set_enabled(true);
         }
         comm.barrier();
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(C, A, Astar,
-                                                                  B, Bstar);
+        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(C, Astar, B);
         comm.barrier();
         if (comm.rank() == 0) par::Profiler::set_enabled(false);
     });

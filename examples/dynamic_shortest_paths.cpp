@@ -67,9 +67,7 @@ int main() {
         std::vector<sparse::Triple<double>> closures(roads.begin(),
                                                      roads.begin() + 20);
         auto Bstar = core::build_update_matrix(grid, kN, kN, feed(closures));
-        core::DistDcsr<double> Sstar(
-            grid, static_cast<sparse::index_t>(kSources.size()), kN);
-        auto Dstar = core::compute_pattern(S, Sstar, A, Bstar);
+        auto Dstar = core::compute_pattern(S, Bstar);  // S is unchanged
         core::mask_delete(A, Bstar);
 
         auto stats = core::general_dynamic_spgemm<sparse::MinPlus<double>>(

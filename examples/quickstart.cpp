@@ -66,10 +66,10 @@ int main() {
             if (comm.rank() == 0) comm.stats().reset();
             comm.barrier();
 
+            // C += A* B: the term of a left update (B is static).
             auto Astar = core::build_update_matrix(grid, kN, kN, updates);
-            core::DistDcsr<double> Bstar(grid, kN, kN);  // B is static
-            core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-                C, A, Astar, B, Bstar);
+            core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(C, Astar,
+                                                                      B);
             core::add_update<sparse::PlusTimes<double>>(A, Astar);
 
             comm.barrier();

@@ -1,42 +1,52 @@
 // Dynamic distributed SpGEMM for algebraic updates — Algorithm 1 of the
-// paper — plus the COMPUTEPATTERN variant that Algorithm 2 builds on.
+// paper and its transposed variants (Section V-C) — plus the COMPUTEPATTERN
+// variant that Algorithm 2 builds on.
 //
 // Given C = AB and hypersparse update matrices A*, B* with A' = A + A*,
 // B' = B + B* (semiring addition), distributivity gives
 //     C' = C + C*,   C* = A* B' + A B*.                            (Eq. 1)
 //
-// Instead of SUMMA (which would broadcast blocks of the *large* operands A
-// and B'), the algorithm moves only the hypersparse A* and B* and pays for
-// that with a non-local aggregation of the partial results. On a rows x cols
-// grid the inner dimension K carries two partitions (K^r over grid rows from
-// B's distribution, K^c over grid cols from A's), so the blocks of A* and B*
-// are first *re-slabbed* to the partition of the operand they multiply:
+// The two terms are independent, and every call computes exactly one: the
+// term of a left update (C += A* B') or of a right update (C += A B*). A
+// two-sided update is two calls; a one-sided update pays nothing for the
+// other side. (No rank could skip an empty term on its own: knowing that an
+// update is empty on every rank would take another collective.)
 //
-//   - A* is exchanged into column slabs A*[:, K^r_i] (an alltoallv down each
-//     process column followed by an allgather along the process row);
-//   - B* into row slabs B*[K^c_j, :] (alltoallv along rows, allgather down
-//     columns).
-//   On a square grid this degenerates to the paper's single transpose
-//   send/receive plus the per-round broadcasts (same bytes, same O(nnz/
-//   sqrt(p)) per-rank volume).
+// Instead of SUMMA (which would broadcast blocks of the *large* operands),
+// a term moves only its hypersparse update and pays for that with a
+// non-local aggregation of the partial results, in four steps
+// (detail::one_term):
 //
-//   X partials (one per grid row a):   rank (i,j) multiplies the N^r_a row
-//     slice of its A* slab with B'_{i,j}; partial a belongs to rank (a,j).
-//   Y partials (one per grid col b):   A_{i,j} times the M^c_b column slice
-//     of the B* slab; partial b belongs to rank (i,b).
+//  1. Slab. On a rows x cols grid the inner dimension K carries two
+//     partitions, K^r over grid rows and K^c over grid cols. Rank (i, j)
+//     assembles the update restricted to the inner block of its stored
+//     operand, e.g. the slab A*[:, K^r_i] for A* B'. Where the update's own
+//     inner index is split over the other grid dimension (both untransposed
+//     terms), one alltoallv re-slabs it first; one allgather then assembles
+//     the slab. On a square grid this is the paper's transpose send/receive
+//     plus its per-round broadcasts.
+//  2. Multiply. The slab is cut along C's partition of its outer index (C's
+//     row blocks for A* B', column blocks for A B*), and each slice times
+//     the stored block is one partial. An empty slice multiplies nothing.
+//  3. Route: the sparse reduce-scatter (Sec. VI-A). Every partial entry
+//     goes straight to the rank that owns its output coordinate, in one
+//     alltoallv. Where the stored block's other index follows C's own
+//     partition (A* B', A B*, A*^T B' and A B*^T), a partial is exactly one
+//     owner's block and travels whole, down the process column or along
+//     the process row. The partials of A^T B* and A* B'^T have rows or
+//     columns on the stored operand's partition instead, which a
+//     rectangular grid does not align with C's; their entries are split by
+//     owner and sent over the world communicator. Each payload is one DCSR
+//     piece per destination, or a zero-length buffer.
+//  4. Absorb. The owner adds its own piece and each incoming one into its
+//     block of C in rank order, so the sums formed in C do not depend on
+//     which message arrived first.
 //
-// The sparse reduce-scatter (Sec. VI-A) is direct: each rank sends every
-// partial straight to its owner, all X partials in one all-to-all down the
-// process column (in flight while the Y partials are computed) and all Y
-// partials in one along the process row. The owner adds its own and each
-// incoming partial into C with the semiring addition, so each partial
-// crosses rank boundaries once.
-//
-// Absorb rule (all three variants, and the optional C* output): an entry
-// whose sum equals SR::zero() is erased on the spot, and a zero() partial
-// value creates no entry (DynamicMatrix::add_or_erase). C therefore never
-// stores a structural zero, and the cancellations of a ring deletion
-// (a* = -a, Sec. V) cost O(nnz(C*)) rather than a prune over all of C.
+// Absorb rule (every variant, and the optional C* output): an entry whose
+// sum equals SR::zero() is erased on the spot, and a zero() partial value
+// creates no entry (DynamicMatrix::add_or_erase). C therefore never stores
+// a structural zero, and the cancellations of a ring deletion (a* = -a,
+// Sec. V) cost O(nnz(C*)) rather than a prune over all of C.
 //
 // Communication volume is O((nnz(A*) + nnz(B*) + nnz(C*)) / sqrt(p)) versus
 // SUMMA's O((nnz(A) + nnz(B')) / sqrt(p)).
@@ -92,521 +102,388 @@ std::vector<Triple<T>> allgather_triples(par::Comm& comm,
     return out;
 }
 
-/// The communication skeleton shared by the algebraic algorithm and
-/// COMPUTEPATTERN. MultX(a_slice, a) receives the N^r_a x K^r_i slice of the
-/// A* slab; MultY(b_slice, b) the K^c_j x M^c_b slice of the B* slab; both
-/// produce local partial products (Dcsr<V>). Absorb adds one partial into
-/// this rank's output block with the semiring addition; it is called for
-/// the rank's own and for every non-empty incoming X and Y partial.
-template <typename T, typename V, typename MultX, typename MultY,
-          typename Absorb>
-void algebraic_rounds(ProcessGrid& grid, const DistDcsr<T>& Astar,
-                      const DistDcsr<T>& Bstar, MultX&& mult_x,
-                      MultY&& mult_y, Absorb&& absorb) {
+/// Step 1: the slab of an update block `local` (of a matrix with shape us)
+/// on this rank's inner block: inner index local to K^r_i if k_row, else to
+/// K^c_j; outer index global. The update's inner index is its row index if
+/// inner_row (the slab is then inner x outer), else its column index.
+template <typename T>
+Dcsr<T> update_slab(const DistShape& us, const Dcsr<T>& local, bool inner_row,
+                    bool k_row) {
+    ProcessGrid& grid = us.grid();
+    const index_t K = inner_row ? us.nrows() : us.ncols();
+    const index_t outer = inner_row ? us.ncols() : us.nrows();
+    const BlockPartition kp =
+        k_row ? grid.row_partition(K) : grid.col_partition(K);
+    const int kb = k_row ? grid.grid_row() : grid.grid_col();
+    auto inner = [&](const Triple<T>& t) { return inner_row ? t.row : t.col; };
+
+    std::vector<Triple<T>> ts;
+    ts.reserve(local.nnz());
+    local.for_each([&](index_t u, index_t v, const T& x) {
+        ts.push_back({us.global_row(u), us.global_col(v), x});
+    });
+    // The inner index is split over the other grid dimension: re-slab it
+    // onto kp along the communicator whose ranks are the inner blocks.
+    if (inner_row != k_row) {
+        par::Comm& kcomm = k_row ? grid.col_comm() : grid.row_comm();
+        auto send = bucket_triples(ts, kcomm.size(), [&](const Triple<T>& t) {
+            return kp.owner(inner(t));
+        });
+        ts.clear();
+        for (const auto& buf : kcomm.alltoallv(std::move(send)))
+            unpack_triples(buf, ts);
+    }
+    ts = allgather_triples(k_row ? grid.row_comm() : grid.col_comm(),
+                           std::move(ts));
+    for (auto& t : ts) (inner_row ? t.row : t.col) -= kp.offset(kb);
+    return inner_row ? sparse::dcsr_from_unique_triples(kp.size(kb), outer,
+                                                        std::move(ts))
+                     : sparse::dcsr_from_unique_triples(outer, kp.size(kb),
+                                                        std::move(ts));
+}
+
+/// The layout of one term of Eq. 1: whether the update is the left operand
+/// (A* B') or the right one (A B*), and which operands are stored
+/// transposed (Section V-C): A as inner x n (A^T B), B as m x inner (A B^T).
+struct Term {
+    bool left;
+    bool a_t = false;
+    bool b_t = false;
+};
+
+/// Computes one term of Eq. 1 into the output of shape `out` in the four
+/// steps of the header. U is the term's update. mult(slice, d) multiplies
+/// slab slice d by this rank's stored block and returns the partial
+/// (Dcsr<V>): its outer index local to C's block d, its other index local
+/// to the stored block. absorb(piece) adds one piece, in C's local
+/// coordinates, into this rank's output block. Collective.
+template <typename V, typename T, typename Mult, typename Absorb>
+void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
+              Mult&& mult, Absorb&& absorb) {
     using par::Phase;
     using par::Profiler;
-    const int rows = grid.rows();
-    const int cols = grid.cols();
-    const int i = grid.grid_row();
-    const int j = grid.grid_col();
-    const index_t n = Astar.shape().nrows();
-    const index_t K = Astar.shape().ncols();
-    const index_t m = Bstar.shape().ncols();
-    const BlockPartition nr = grid.row_partition(n);
-    const BlockPartition mc = grid.col_partition(m);
-    const BlockPartition kr = grid.row_partition(K);
-    const BlockPartition kc = grid.col_partition(K);
+    ProcessGrid& grid = out.grid();
+    // inner_row: the update's inner index is its row index (else its
+    // column). k_row: the stored operand's inner block is K^r_i (else K^c_j).
+    const bool inner_row = term.left ? term.a_t : !term.b_t;
+    const bool k_row = term.left ? !term.b_t : term.a_t;
+    // The stored block's other index follows C's own block: one partial is
+    // one owner's block. Otherwise route each entry by C's partition cp.
+    const bool whole = term.left == k_row;
+    const BlockPartition& sp =
+        term.left ? out.row_partition() : out.col_partition();
+    const BlockPartition& cp =
+        term.left ? out.col_partition() : out.row_partition();
+    const BlockPartition fp = k_row ? grid.col_partition(cp.n())
+                                    : grid.row_partition(cp.n());
+    const index_t free_offset =
+        fp.offset(k_row ? grid.grid_col() : grid.grid_row());
+    par::Comm& comm = !whole     ? grid.world()
+                      : term.left ? grid.col_comm()
+                                  : grid.row_comm();
 
-    // ---- Slab exchange (replaces the square grid's transpose exchange).
-    Dcsr<T> aslab;  // A*[:, K^r_i] — global rows, K^r_i-local cols
-    Dcsr<T> bslab;  // B*[K^c_j, :] — K^c_j-local rows, global cols
+    Dcsr<T> slab;
     {
         Profiler::Scope scope(Phase::SendRecv);
-        std::vector<Triple<T>> atrip;
-        atrip.reserve(Astar.local().nnz());
-        Astar.local().for_each([&](index_t u, index_t v, const T& x) {
-            atrip.push_back({u + nr.offset(i), v + kc.offset(j), x});
-        });
-        std::vector<Triple<T>> btrip;
-        btrip.reserve(Bstar.local().nnz());
-        Bstar.local().for_each([&](index_t u, index_t v, const T& x) {
-            btrip.push_back({u + kr.offset(i), v + mc.offset(j), x});
-        });
-        auto asend = bucket_triples(
-            atrip, rows, [&](const Triple<T>& t) { return kr.owner(t.col); });
-        auto bsend = bucket_triples(
-            btrip, cols, [&](const Triple<T>& t) { return kc.owner(t.row); });
-        // Both exchanges in flight at once: they overlap each other.
-        auto pa = grid.col_comm().ialltoallv(std::move(asend));
-        auto pb = grid.row_comm().ialltoallv(std::move(bsend));
-        const std::vector<par::Buffer> arecv = pa.wait();
-        const std::vector<par::Buffer> brecv = pb.wait();
-        atrip.clear();
-        for (const auto& buf : arecv) unpack_triples(buf, atrip);
-        btrip.clear();
-        for (const auto& buf : brecv) unpack_triples(buf, btrip);
-        atrip = allgather_triples(grid.row_comm(), std::move(atrip));
-        btrip = allgather_triples(grid.col_comm(), std::move(btrip));
-        for (auto& t : atrip) t.col -= kr.offset(i);
-        for (auto& t : btrip) t.row -= kc.offset(j);
-        aslab = sparse::dcsr_from_unique_triples(n, kr.size(i),
-                                                 std::move(atrip));
-        bslab = sparse::dcsr_from_unique_triples(kc.size(j), m,
-                                                 std::move(btrip));
+        slab = update_slab(U.shape(), U.local(), inner_row, k_row);
     }
 
-    // Computes the partial of every output block d of comm (grid row d for
-    // X, grid column d for Y), keeps this rank's own and posts the others to
-    // their owners in one all-to-all. An empty partial travels as a
-    // zero-length buffer.
-    using Posted = std::pair<Dcsr<V>, par::Comm::PendingAlltoallv>;
-    auto post_partials = [](par::Comm& comm, auto&& partial) -> Posted {
-        std::vector<par::Buffer> send(static_cast<std::size_t>(comm.size()));
-        Dcsr<V> own;
-        for (int d = 0; d < comm.size(); ++d) {
-            Dcsr<V> part;
-            {
-                Profiler::Scope scope(Phase::LocalMult);
-                part = partial(d);
-            }
-            if (d == comm.rank()) {
-                own = std::move(part);
-            } else if (part.nnz() > 0) {
-                Profiler::Scope scope(Phase::Scatter);
-                send[static_cast<std::size_t>(d)] = part.serialize();
-            }
-        }
-        Profiler::Scope scope(Phase::ReduceScatter);
-        return {std::move(own), comm.ialltoallv(std::move(send))};
+    std::vector<par::Buffer> send(static_cast<std::size_t>(comm.size()));
+    Dcsr<V> own;
+    auto keep_or_send = [&](int dest, Dcsr<V> piece) {
+        if (dest == comm.rank())
+            own = std::move(piece);
+        else if (piece.nnz() > 0)
+            send[static_cast<std::size_t>(dest)] = piece.serialize();
     };
-    // Absorbs the own partial and every incoming one in rank order, so the
-    // sums formed in C do not depend on which message arrived first.
-    auto absorb_partials = [&](const par::Comm& comm, Posted posted) {
-        Profiler::Scope scope(Phase::ReduceScatter);
-        const std::vector<par::Buffer> recv = posted.second.wait();
-        for (int s = 0; s < comm.size(); ++s) {
-            const auto& buf = recv[static_cast<std::size_t>(s)];
-            if (s == comm.rank())
-                absorb(posted.first);
-            else if (!buf.empty())
-                absorb(Dcsr<V>::deserialize(buf));
+    for (int d = 0; d < sp.blocks(); ++d) {
+        Dcsr<V> part;
+        {
+            Profiler::Scope scope(Phase::LocalMult);
+            const Dcsr<T> slice =
+                inner_row
+                    ? sparse::dcsr_col_block(slab, sp.offset(d),
+                                             sp.offset(d + 1))
+                    : sparse::dcsr_row_block(slab, sp.offset(d),
+                                             sp.offset(d + 1));
+            if (slice.empty()) continue;
+            part = mult(slice, d);
         }
-    };
+        Profiler::Scope scope(Phase::Scatter);
+        if (whole) {
+            keep_or_send(d, std::move(part));
+            continue;
+        }
+        // Split by the block q of C that owns each entry's other index; rows
+        // reach each piece in ascending order, so it is built in place.
+        std::vector<Dcsr<V>> pieces;
+        for (int q = 0; q < cp.blocks(); ++q)
+            pieces.emplace_back(term.left ? part.nrows() : cp.size(q),
+                                term.left ? cp.size(q) : part.ncols());
+        std::vector<index_t> last(pieces.size(), -1);
+        part.for_each([&](index_t u, index_t v, const V& x) {
+            index_t& f = term.left ? v : u;
+            const index_t g = free_offset + f;
+            const auto q = static_cast<std::size_t>(cp.owner(g));
+            f = g - cp.offset(static_cast<int>(q));
+            if (last[q] != u) {
+                pieces[q].begin_row(u);
+                last[q] = u;
+            }
+            pieces[q].push_entry(v, x);
+        });
+        for (int q = 0; q < cp.blocks(); ++q)
+            keep_or_send(term.left ? grid.rank_of(d, q) : grid.rank_of(q, d),
+                         std::move(pieces[static_cast<std::size_t>(q)]));
+    }
 
-    // X partials go down the process column while the Y partials are
-    // computed.
-    Posted x = post_partials(grid.col_comm(), [&](int a) {
-        return mult_x(
-            sparse::dcsr_row_block(aslab, nr.offset(a), nr.offset(a + 1)), a);
-    });
-    Posted y = post_partials(grid.row_comm(), [&](int b) {
-        return mult_y(
-            sparse::dcsr_col_block(bslab, mc.offset(b), mc.offset(b + 1)), b);
-    });
-    absorb_partials(grid.col_comm(), std::move(x));
-    absorb_partials(grid.row_comm(), std::move(y));
+    Profiler::Scope scope(Phase::ReduceScatter);
+    const std::vector<par::Buffer> recv = comm.alltoallv(std::move(send));
+    for (int s = 0; s < comm.size(); ++s) {
+        const auto& buf = recv[static_cast<std::size_t>(s)];
+        if (s == comm.rank())
+            absorb(own);
+        else if (!buf.empty())
+            absorb(Dcsr<V>::deserialize(buf));
+    }
 }
 
-/// Scatters a reduced partial block whose rows or columns follow the "wrong"
-/// partition to the owners of the output blocks. `pieces[d]` must hold the
-/// triples for destination d in the destination's local coordinates; every
-/// piece is sent (empty included) so receivers match deterministically.
-template <typename T>
-void send_pieces(ProcessGrid& grid,
-                 std::vector<std::vector<Triple<T>>>& pieces, int tag,
-                 const std::function<int(int)>& dest_rank) {
-    for (std::size_t d = 0; d < pieces.size(); ++d)
-        grid.world().send(dest_rank(static_cast<int>(d)), tag,
-                          pack_triples(pieces[d].data(), pieces[d].size()));
-}
-
-}  // namespace detail
-
-/// Algorithm 1: C <- C + A* B' + A B* over SR. A is the matrix *before* the
-/// update, Bprime the one *after*; Astar/Bstar are the hypersparse update
-/// matrices (semiring addition semantics). Collective.
-template <sparse::Semiring SR, typename T = typename SR::value_type>
-void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
-                              const DistDynamicMatrix<T>& A,
-                              const DistDcsr<T>& Astar,
-                              const DistDynamicMatrix<T>& Bprime,
-                              const DistDcsr<T>& Bstar,
-                              const DynamicSpgemmOptions& opts = {},
-                              DistDynamicMatrix<T>* cstar_out = nullptr) {
-    ProcessGrid& grid = C.shape().grid();
-    const auto& rp = C.shape().row_partition();
-    const auto& cp = C.shape().col_partition();
+inline sparse::SpgemmOptions local_options(const DynamicSpgemmOptions& opts,
+                                           index_t inner_offset = 0) {
     sparse::SpgemmOptions sopts;
     sopts.pool = opts.pool;
+    sopts.inner_offset = inner_offset;
+    return sopts;
+}
 
-    auto absorb = [&](const Dcsr<T>& reduced) {
+/// The absorb of the algebraic variants: adds a piece into C (and into the
+/// optional C* output) under the absorb rule of the header.
+template <sparse::Semiring SR, typename T>
+auto absorb_into(DistDynamicMatrix<T>& C,
+                 DistDynamicMatrix<T>* cstar_out = nullptr) {
+    return [&C, cstar_out](const Dcsr<T>& piece) {
         par::Profiler::Scope scope(par::Phase::LocalAddition);
-        reduced.for_each([&](index_t u, index_t v, const T& x) {
+        piece.for_each([&](index_t u, index_t v, const T& x) {
             C.local().add_or_erase(u, v, x, SR::add, SR::zero());
-            // Optionally collect C* itself (distributed), e.g. to feed the
-            // next stage of a chained product (graph contraction).
             if (cstar_out != nullptr)
                 cstar_out->local().add_or_erase(u, v, x, SR::add, SR::zero());
         });
     };
-    detail::algebraic_rounds<T, T>(
-        grid, Astar, Bstar,
-        // X_{a,j} partial: A*[N^r_a, K^r_i] · B'_{i,j}
-        [&](const Dcsr<T>& a_slice, int a) {
-            return sparse::spgemm<SR>(rp.size(a), C.shape().local_cols(),
-                                      sparse::as_left(a_slice),
-                                      sparse::as_right(Bprime.local()), sopts);
-        },
-        // Y_{i,b} partial: A_{i,j} · B*[K^c_j, M^c_b]
-        [&](const Dcsr<T>& b_slice, int b) {
-            return sparse::spgemm<SR>(C.shape().local_rows(), cp.size(b),
-                                      sparse::as_left(A.local()),
-                                      sparse::as_right(b_slice), sopts);
-        },
-        absorb);
 }
 
-/// Algorithm 1 with a transposed left operand (Section V-C):
-/// C <- C + A*^T B' + A^T B*, where A and A* are (inner x n) and C is n x m.
-///
-/// Differences from the untransposed flow, exactly as the paper describes:
-///  - no re-slab of A* is needed: its blocks already sit on the inner-row
-///    partition, so one allgather along each process row assembles the full
-///    row slab A*[K^r_i, :], and the X partial transposes a hypersparse
-///    column slice locally (O(nnz));
-///  - B* is likewise assembled along *rows* (slab B*[K^r_i, :]);
-///  - the Y-term partial (A_{i,j})^T B* has rows on A's *column* partition
-///    (a c-way split), which on a rectangular grid does not coincide with
-///    C's r-way row partition: after the reduction the root re-splits the
-///    block by C's row owners and forwards each piece with one
-///    point-to-point message (the transposed-rank message of the square
-///    grid, generalized).
+}  // namespace detail
+
+/// Algorithm 1, the term of a left update: C <- C + A* B' over SR, where
+/// Bprime is the right operand *after* its own update, if any. The optional
+/// cstar_out collects the term itself (distributed), e.g. to feed the next
+/// stage of a chained product (graph contraction). Collective.
+template <sparse::Semiring SR, typename T = typename SR::value_type>
+void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
+                              const DistDcsr<T>& Astar,
+                              const DistDynamicMatrix<T>& Bprime,
+                              const DynamicSpgemmOptions& opts = {},
+                              DistDynamicMatrix<T>* cstar_out = nullptr) {
+    const DistShape& cs = C.shape();
+    detail::one_term<T>(
+        cs, Astar, {.left = true},
+        // A*[N^r_a, K^r_i] · B'_{i,j}
+        [&](const Dcsr<T>& slice, int a) {
+            return sparse::spgemm<SR>(cs.block_rows(a), cs.local_cols(),
+                                      sparse::as_left(slice),
+                                      sparse::as_right(Bprime.local()),
+                                      detail::local_options(opts));
+        },
+        detail::absorb_into<SR>(C, cstar_out));
+}
+
+/// Algorithm 1, the term of a right update: C <- C + A B* over SR, where A
+/// is the left operand *before* its own update, if any. Collective.
+template <sparse::Semiring SR, typename T = typename SR::value_type>
+void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
+                              const DistDynamicMatrix<T>& A,
+                              const DistDcsr<T>& Bstar,
+                              const DynamicSpgemmOptions& opts = {}) {
+    const DistShape& cs = C.shape();
+    detail::one_term<T>(
+        cs, Bstar, {.left = false},
+        // A_{i,j} · B*[K^c_j, M^c_b]
+        [&](const Dcsr<T>& slice, int b) {
+            return sparse::spgemm<SR>(cs.local_rows(), cs.block_cols(b),
+                                      sparse::as_left(A.local()),
+                                      sparse::as_right(slice),
+                                      detail::local_options(opts));
+        },
+        detail::absorb_into<SR>(C));
+}
+
+/// Algorithm 1 with a transposed left operand (Section V-C), the term of a
+/// left update: C <- C + A*^T B', where A* is (inner x n) and C is n x m.
+/// A* already sits on the inner row partition, so its slab A*[K^r_i, :]
+/// needs no re-slab, and each slice is transposed locally (O(nnz)).
 /// Collective.
 template <sparse::Semiring SR, typename T = typename SR::value_type>
 void dynamic_spgemm_algebraic_transA(DistDynamicMatrix<T>& C,
-                                     const DistDynamicMatrix<T>& A,
                                      const DistDcsr<T>& Astar,
                                      const DistDynamicMatrix<T>& Bprime,
-                                     const DistDcsr<T>& Bstar,
                                      const DynamicSpgemmOptions& opts = {}) {
-    using par::Phase;
-    using par::Profiler;
-    constexpr int kTagY = 105;
-    ProcessGrid& grid = C.shape().grid();
-    const int rows = grid.rows();
-    const int cols = grid.cols();
-    const int i = grid.grid_row();
-    const int j = grid.grid_col();
-    const index_t n = C.shape().nrows();
-    const index_t m = C.shape().ncols();
-    // C rows are partitioned r-ways (nrp); A's columns c-ways (ncp).
-    const auto& nrp = C.shape().row_partition();
-    const auto& mcp = C.shape().col_partition();
-    const BlockPartition ncp = grid.col_partition(n);
-    const BlockPartition kr = grid.row_partition(Astar.shape().nrows());
-    sparse::SpgemmOptions sopts;
-    sopts.pool = opts.pool;
-
-    auto add = [](const T& a, const T& b) { return SR::add(a, b); };
-    auto merge_buffers = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<T>::deserialize(a);
-        auto mb = Dcsr<T>::deserialize(b);
-        return sparse::dcsr_add(ma, mb, add).serialize();
-    };
-    auto absorb = [&](const Dcsr<T>& reduced) {
-        Profiler::Scope scope(Phase::LocalAddition);
-        reduced.for_each([&](index_t u, index_t v, const T& x) {
-            C.local().add_or_erase(u, v, x, SR::add, SR::zero());
-        });
-    };
-    auto absorb_triples = [&](const std::vector<Triple<T>>& ts) {
-        Profiler::Scope scope(Phase::LocalAddition);
-        for (const auto& t : ts)
-            C.local().add_or_erase(t.row, t.col, t.value, SR::add,
-                                   SR::zero());
-    };
-
-    // Row slabs: A*[K^r_i, :] (n global cols) and B*[K^r_i, :] (m global
-    // cols), assembled from the per-column blocks of this process row.
-    auto gather_row_slab = [&](const Dcsr<T>& local, const BlockPartition& gc,
-                               index_t global_cols) {
-        Profiler::Scope scope(Phase::SendRecv);
-        auto all = grid.row_comm().allgather(local.serialize());
-        std::vector<Triple<T>> trips;
-        for (int jp = 0; jp < cols; ++jp) {
-            auto blk = Dcsr<T>::deserialize(all[static_cast<std::size_t>(jp)]);
-            blk.for_each([&](index_t u, index_t v, const T& x) {
-                trips.push_back({u, v + gc.offset(jp), x});
-            });
-        }
-        return sparse::dcsr_from_unique_triples(kr.size(i), global_cols,
-                                                std::move(trips));
-    };
-    const Dcsr<T> astar_slab = gather_row_slab(Astar.local(), ncp, n);
-    const Dcsr<T> bstar_slab = gather_row_slab(Bstar.local(), mcp, m);
-
-    // X rounds: (A*[K^r_i, N^r_a])^T · B'_{i,j}, reduced down the process
-    // column onto the owner (a, j).
-    for (int a = 0; a < rows; ++a) {
-        Dcsr<T> x_part;
-        {
-            Profiler::Scope scope(Phase::LocalMult);
-            auto a_t = sparse::dcsr_transpose(sparse::dcsr_col_block(
-                astar_slab, nrp.offset(a), nrp.offset(a + 1)));
-            x_part = sparse::spgemm<SR>(nrp.size(a), C.shape().local_cols(),
-                                        sparse::as_left(a_t),
-                                        sparse::as_right(Bprime.local()),
-                                        sopts);
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer xr = grid.col_comm().reduce_merge(
-                a, x_part.serialize(), merge_buffers);
-            if (i == a) absorb(Dcsr<T>::deserialize(xr));
-        }
-    }
-
-    // Y rounds: (A_{i,j})^T · B*[K^r_i, M^c_b] — rows follow A's column
-    // partition (ncp), so the reduced block is re-split by C's row owners.
-    for (int b = 0; b < cols; ++b) {
-        const int root_row = b % rows;
-        Dcsr<T> y_part;
-        {
-            Profiler::Scope scope(Phase::LocalMult);
-            auto b_slice = sparse::dcsr_col_block(bstar_slab, mcp.offset(b),
-                                                  mcp.offset(b + 1));
-            y_part = sparse::spgemm_transposed_left<SR>(
-                A.shape().local_cols(), mcp.size(b), A.local(), b_slice);
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer yr = grid.col_comm().reduce_merge(
-                root_row, y_part.serialize(), merge_buffers);
-            if (i == root_row) {
-                auto reduced = Dcsr<T>::deserialize(yr);
-                std::vector<std::vector<Triple<T>>> pieces(
-                    static_cast<std::size_t>(rows));
-                reduced.for_each([&](index_t u, index_t v, const T& x) {
-                    const index_t gu = u + ncp.offset(j);
-                    const int a = nrp.owner(gu);
-                    pieces[static_cast<std::size_t>(a)].push_back(
-                        {gu - nrp.offset(a), v, x});
-                });
-                detail::send_pieces(grid, pieces, kTagY + b,
-                                    [&](int a) { return grid.rank_of(a, b); });
-            }
-            if (j == b) {
-                for (int jp = 0; jp < cols; ++jp) {
-                    std::vector<Triple<T>> ts;
-                    detail::unpack_triples(
-                        grid.world().recv(grid.rank_of(root_row, jp),
-                                          kTagY + b),
-                        ts);
-                    absorb_triples(ts);
-                }
-            }
-        }
-    }
+    const DistShape& cs = C.shape();
+    detail::one_term<T>(
+        cs, Astar, {.left = true, .a_t = true},
+        // (A*[K^r_i, N^r_a])^T · B'_{i,j}
+        [&](const Dcsr<T>& slice, int a) {
+            return sparse::spgemm<SR>(
+                cs.block_rows(a), cs.local_cols(),
+                sparse::as_left(sparse::dcsr_transpose(slice)),
+                sparse::as_right(Bprime.local()), detail::local_options(opts));
+        },
+        detail::absorb_into<SR>(C));
 }
 
-/// Algorithm 1 with a transposed right operand (Section V-C):
-/// C <- C + A* B'^T + A B*^T, where B and B* are (m x inner), A and A* are
-/// (n x inner) and C is n x m.
-///
-/// As the paper notes, A* and B* are broadcast over *columns* of the grid
-/// (one allgather down each process column — their blocks already align with
-/// grid rows, so no re-slab or merge is needed). Local multiplications
-/// against transposed right operands are rewritten to keep both operands
-/// streamable:
-///  - X-term: A*_u (B'_{i,j})^T = (B'_{i,j} (A*_u)^T)^T — one ordinary
-///    Gustavson multiply against the locally transposed hypersparse A*
-///    block, plus a transpose of the (small) partial result;
-///  - Y-term: A_{i,j} (B*_u)^T multiplies the stored A block against the
-///    locally transposed hypersparse B* block directly.
-/// Both reduced partials have columns on B's r-way *row* partition, which a
-/// rectangular grid's c-way output column partition does not match: the
-/// reduction root re-splits each block by C's column owners and forwards the
-/// pieces point-to-point (the transposed-rank messages of the square grid,
-/// generalized). Collective.
+/// Algorithm 1 with a transposed left operand, the term of a right update:
+/// C <- C + A^T B*, where A is (inner x n). The stored block is multiplied
+/// transposed in place (spgemm_transposed_left). Its partial's rows follow
+/// A's column partition, so each entry is routed to its owner. Collective.
+template <sparse::Semiring SR, typename T = typename SR::value_type>
+void dynamic_spgemm_algebraic_transA(DistDynamicMatrix<T>& C,
+                                     const DistDynamicMatrix<T>& A,
+                                     const DistDcsr<T>& Bstar,
+                                     // spgemm_transposed_left has no pool
+                                     const DynamicSpgemmOptions& = {}) {
+    const DistShape& cs = C.shape();
+    detail::one_term<T>(
+        cs, Bstar, {.left = false, .a_t = true},
+        // (A_{i,j})^T · B*[K^r_i, M^c_b]
+        [&](const Dcsr<T>& slice, int b) {
+            return sparse::spgemm_transposed_left<SR>(
+                A.shape().local_cols(), cs.block_cols(b), A.local(), slice);
+        },
+        detail::absorb_into<SR>(C));
+}
+
+/// Algorithm 1 with a transposed right operand (Section V-C), the term of a
+/// left update: C <- C + A* B'^T, where A* is (n x inner) and B' is
+/// (m x inner). A* already sits on the inner column partition, so one
+/// allgather down each process column assembles its slab. The multiply
+/// keeps both operands streamable: A*_a (B'_{i,j})^T = (B'_{i,j} (A*_a)^T)^T.
+/// Its partial's columns follow B's row partition, so each entry is routed
+/// to its owner. Collective.
+template <sparse::Semiring SR, typename T = typename SR::value_type>
+void dynamic_spgemm_algebraic_transB(DistDynamicMatrix<T>& C,
+                                     const DistDcsr<T>& Astar,
+                                     const DistDynamicMatrix<T>& Bprime,
+                                     const DynamicSpgemmOptions& opts = {}) {
+    const DistShape& cs = C.shape();
+    detail::one_term<T>(
+        cs, Astar, {.left = true, .b_t = true},
+        // (B'_{i,j} (A*[N^r_a, K^c_j])^T)^T
+        [&](const Dcsr<T>& slice, int a) {
+            return sparse::dcsr_transpose(sparse::spgemm<SR>(
+                Bprime.shape().local_rows(), cs.block_rows(a),
+                sparse::as_left(Bprime.local()),
+                sparse::as_right(sparse::dcsr_transpose(slice)),
+                detail::local_options(opts)));
+        },
+        detail::absorb_into<SR>(C));
+}
+
+/// Algorithm 1 with a transposed right operand, the term of a right update:
+/// C <- C + A B*^T, where B* is (m x inner): the stored A block times the
+/// locally transposed slab slice. Collective.
 template <sparse::Semiring SR, typename T = typename SR::value_type>
 void dynamic_spgemm_algebraic_transB(DistDynamicMatrix<T>& C,
                                      const DistDynamicMatrix<T>& A,
-                                     const DistDcsr<T>& Astar,
-                                     const DistDynamicMatrix<T>& Bprime,
                                      const DistDcsr<T>& Bstar,
                                      const DynamicSpgemmOptions& opts = {}) {
-    using par::Phase;
-    using par::Profiler;
-    constexpr int kTagX = 140;
-    constexpr int kTagYB = 170;
-    ProcessGrid& grid = C.shape().grid();
-    const int rows = grid.rows();
-    const int cols = grid.cols();
-    const int i = grid.grid_row();
-    const int j = grid.grid_col();
-    const index_t m = C.shape().ncols();
-    // C rows partition like A's rows (nrp, r-way); C cols (mcp, c-way) do
-    // NOT match B's r-way row partition (mrp) on a rectangular grid.
-    const auto& nrp = C.shape().row_partition();
-    const auto& mcp = C.shape().col_partition();
-    const BlockPartition mrp = grid.row_partition(m);
-    sparse::SpgemmOptions sopts;
-    sopts.pool = opts.pool;
-
-    auto add = [](const T& a, const T& b) { return SR::add(a, b); };
-    auto merge_buffers = [&](par::Buffer a, par::Buffer b) {
-        auto ma = Dcsr<T>::deserialize(a);
-        auto mb = Dcsr<T>::deserialize(b);
-        return sparse::dcsr_add(ma, mb, add).serialize();
-    };
-    auto absorb_triples = [&](const std::vector<Triple<T>>& ts) {
-        Profiler::Scope scope(Phase::LocalAddition);
-        for (const auto& t : ts)
-            C.local().add_or_erase(t.row, t.col, t.value, SR::add,
-                                   SR::zero());
-    };
-    // Splits a reduced block whose columns live in B's row block u (global
-    // offset mrp.offset(u)) by C's column owners and forwards the pieces to
-    // this grid row's owners (dest_row, b) — dest_row depends on the term.
-    auto scatter_cols = [&](par::Buffer reduced_wire, int u, int tag,
-                            const std::function<int(int)>& dest_rank) {
-        auto reduced = Dcsr<T>::deserialize(reduced_wire);
-        std::vector<std::vector<Triple<T>>> pieces(
-            static_cast<std::size_t>(cols));
-        reduced.for_each([&](index_t uu, index_t v, const T& x) {
-            const index_t gv = v + mrp.offset(u);
-            const int b = mcp.owner(gv);
-            pieces[static_cast<std::size_t>(b)].push_back(
-                {uu, gv - mcp.offset(b), x});
-        });
-        detail::send_pieces(grid, pieces, tag, dest_rank);
-    };
-
-    // Column slabs: every rank learns all r blocks of its process column —
-    // A*[N^r_u, K^c_j] and B*[M^r_u, K^c_j] for u in [0, rows). The blocks
-    // stay separate; each drives one round.
-    auto gather_col_blocks = [&](const Dcsr<T>& local) {
-        Profiler::Scope scope(Phase::SendRecv);
-        auto all = grid.col_comm().allgather(local.serialize());
-        std::vector<Dcsr<T>> blocks;
-        blocks.reserve(all.size());
-        for (auto& buf : all) blocks.push_back(Dcsr<T>::deserialize(buf));
-        return blocks;
-    };
-    const auto astar_blocks = gather_col_blocks(Astar.local());
-    const auto bstar_blocks = gather_col_blocks(Bstar.local());
-
-    // X rounds: partial for output rows N^r_a, computed transposed:
-    // W = B'_{i,j} (A*_a)^T, then X = W^T (columns on M^r_i).
-    for (int a = 0; a < rows; ++a) {
-        const int root_col = a % cols;
-        Dcsr<T> x_part;
-        {
-            Profiler::Scope scope(Phase::LocalMult);
-            auto astar_t = sparse::dcsr_transpose(
-                astar_blocks[static_cast<std::size_t>(a)]);
-            auto w = sparse::spgemm<SR>(
-                Bprime.shape().local_rows(), nrp.size(a),
-                sparse::as_left(Bprime.local()), sparse::as_right(astar_t),
-                sopts);
-            x_part = sparse::dcsr_transpose(w);
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer xr = grid.row_comm().reduce_merge(
-                root_col, x_part.serialize(), merge_buffers);
-            if (j == root_col)
-                scatter_cols(std::move(xr), i, kTagX + a,
-                             [&](int b) { return grid.rank_of(a, b); });
-            if (i == a) {
-                for (int ip = 0; ip < rows; ++ip) {
-                    std::vector<Triple<T>> ts;
-                    detail::unpack_triples(
-                        grid.world().recv(grid.rank_of(ip, root_col),
-                                          kTagX + a),
-                        ts);
-                    absorb_triples(ts);
-                }
-            }
-        }
-    }
-
-    // Y rounds: A_{i,j} (B*_u)^T — output rows stay on this grid row, so
-    // the re-split pieces travel within the process row.
-    for (int u = 0; u < rows; ++u) {
-        const int root_col = u % cols;
-        Dcsr<T> y_part;
-        {
-            Profiler::Scope scope(Phase::LocalMult);
-            auto bstar_t = sparse::dcsr_transpose(
-                bstar_blocks[static_cast<std::size_t>(u)]);
-            y_part = sparse::spgemm<SR>(C.shape().local_rows(), mrp.size(u),
-                                        sparse::as_left(A.local()),
-                                        sparse::as_right(bstar_t), sopts);
-        }
-        {
-            Profiler::Scope scope(Phase::ReduceScatter);
-            par::Buffer yr = grid.row_comm().reduce_merge(
-                root_col, y_part.serialize(), merge_buffers);
-            if (j == root_col)
-                scatter_cols(std::move(yr), u, kTagYB + u,
-                             [&](int b) { return grid.rank_of(i, b); });
-            std::vector<Triple<T>> ts;
-            detail::unpack_triples(
-                grid.world().recv(grid.rank_of(i, root_col), kTagYB + u), ts);
-            absorb_triples(ts);
-        }
-    }
+    const DistShape& cs = C.shape();
+    detail::one_term<T>(
+        cs, Bstar, {.left = false, .b_t = true},
+        // A_{i,j} · (B*[M^c_b, K^c_j])^T
+        [&](const Dcsr<T>& slice, int b) {
+            return sparse::spgemm<SR>(
+                cs.local_rows(), cs.block_cols(b), sparse::as_left(A.local()),
+                sparse::as_right(sparse::dcsr_transpose(slice)),
+                detail::local_options(opts));
+        },
+        detail::absorb_into<SR>(C));
 }
 
-/// COMPUTEPATTERN (Section V-B): the sparsity structure of
-/// C* = A* B' + A B*, with each entry carrying the F* Bloom bitfield (bit
-/// (k mod 64) set iff inner index k contributes). Numerical values of the
-/// operands are ignored. Returns the distributed pattern matrix. Collective.
+namespace detail {
+
+/// ORs the COMPUTEPATTERN bits of one term of Eq. 1 into cstar: of A* B'
+/// (U = A*, S = B') if left, else of A B* (S = A, U = B*).
+template <typename T>
+void pattern_term(DistDynamicMatrix<std::uint64_t>& cstar, bool left,
+                  const DistDcsr<T>& U, const DistDynamicMatrix<T>& S,
+                  const DynamicSpgemmOptions& opts) {
+    const DistShape& cs = cstar.shape();
+    ProcessGrid& grid = cs.grid();
+    // Global inner index of local column 0 of the left operand: the A* slab
+    // slice lives in inner row block K^r_i, A_{i,j} in column block K^c_j.
+    const index_t K = left ? U.shape().ncols() : S.shape().ncols();
+    const sparse::SpgemmOptions sopts = local_options(
+        opts, left ? grid.row_partition(K).offset(grid.grid_row())
+                   : grid.col_partition(K).offset(grid.grid_col()));
+    one_term<std::uint64_t>(
+        cs, U, {.left = left},
+        [&](const Dcsr<T>& slice, int d) {
+            return left ? sparse::spgemm_pattern(
+                              cs.block_rows(d), cs.local_cols(),
+                              sparse::as_left(slice),
+                              sparse::as_right(S.local()), sopts)
+                        : sparse::spgemm_pattern(
+                              cs.local_rows(), cs.block_cols(d),
+                              sparse::as_left(S.local()),
+                              sparse::as_right(slice), sopts);
+        },
+        [&](const Dcsr<std::uint64_t>& piece) {
+            par::Profiler::Scope scope(par::Phase::LocalAddition);
+            piece.for_each([&](index_t u, index_t v, std::uint64_t bits) {
+                cstar.local().insert_or_add(
+                    u, v, bits,
+                    [](std::uint64_t a, std::uint64_t b) { return a | b; });
+            });
+        });
+}
+
+}  // namespace detail
+
+/// COMPUTEPATTERN (Section V-B) for the term of a left update: the sparsity
+/// structure of C* = A* B', with each entry carrying the F* Bloom bitfield
+/// (bit (k mod 64) set iff inner index k contributes). Numerical values of
+/// the operands are ignored. Returns the distributed pattern matrix.
+/// Collective.
+template <typename T>
+DistDynamicMatrix<std::uint64_t> compute_pattern(
+    const DistDcsr<T>& Astar, const DistDynamicMatrix<T>& Bprime,
+    const DynamicSpgemmOptions& opts = {}) {
+    DistDynamicMatrix<std::uint64_t> cstar(
+        Bprime.shape().grid(), Astar.shape().nrows(), Bprime.shape().ncols());
+    detail::pattern_term(cstar, true, Astar, Bprime, opts);
+    return cstar;
+}
+
+/// COMPUTEPATTERN for the term of a right update: C* = A B*. Collective.
+template <typename T>
+DistDynamicMatrix<std::uint64_t> compute_pattern(
+    const DistDynamicMatrix<T>& A, const DistDcsr<T>& Bstar,
+    const DynamicSpgemmOptions& opts = {}) {
+    DistDynamicMatrix<std::uint64_t> cstar(A.shape().grid(), A.shape().nrows(),
+                                           Bstar.shape().ncols());
+    detail::pattern_term(cstar, false, Bstar, A, opts);
+    return cstar;
+}
+
+/// COMPUTEPATTERN for both terms, C* = A* B' + A B*: the two one-term
+/// patterns ORed into one matrix. Collective.
 template <typename T>
 DistDynamicMatrix<std::uint64_t> compute_pattern(
     const DistDynamicMatrix<T>& A, const DistDcsr<T>& Astar,
     const DistDynamicMatrix<T>& Bprime, const DistDcsr<T>& Bstar,
     const DynamicSpgemmOptions& opts = {}) {
-    ProcessGrid& grid = A.shape().grid();
-    DistDynamicMatrix<std::uint64_t> cstar(grid, A.shape().nrows(),
+    DistDynamicMatrix<std::uint64_t> cstar(A.shape().grid(), A.shape().nrows(),
                                            Bprime.shape().ncols());
-    const auto& rp = cstar.shape().row_partition();
-    const auto& cp = cstar.shape().col_partition();
-    const BlockPartition kr = grid.row_partition(A.shape().ncols());
-    const BlockPartition kc = grid.col_partition(A.shape().ncols());
-    auto bits_or = [](std::uint64_t a, std::uint64_t b) { return a | b; };
-
-    auto absorb = [&](const Dcsr<std::uint64_t>& reduced) {
-        par::Profiler::Scope scope(par::Phase::LocalAddition);
-        reduced.for_each([&](index_t u, index_t v, std::uint64_t bits) {
-            cstar.local().insert_or_add(u, v, bits, bits_or);
-        });
-    };
-    detail::algebraic_rounds<T, std::uint64_t>(
-        grid, Astar, Bstar,
-        [&](const Dcsr<T>& a_slice, int a) {
-            sparse::SpgemmOptions sopts;
-            sopts.pool = opts.pool;
-            // Columns of the A* slab slice live in inner row block K^r_i.
-            sopts.inner_offset = kr.offset(grid.grid_row());
-            return sparse::spgemm_pattern(rp.size(a),
-                                          cstar.shape().local_cols(),
-                                          sparse::as_left(a_slice),
-                                          sparse::as_right(Bprime.local()),
-                                          sopts);
-        },
-        [&](const Dcsr<T>& b_slice, int b) {
-            sparse::SpgemmOptions sopts;
-            sopts.pool = opts.pool;
-            // Columns of A_{i,j} live in inner column block K^c_j.
-            sopts.inner_offset = kc.offset(grid.grid_col());
-            return sparse::spgemm_pattern(cstar.shape().local_rows(),
-                                          cp.size(b),
-                                          sparse::as_left(A.local()),
-                                          sparse::as_right(b_slice), sopts);
-        },
-        absorb);
+    detail::pattern_term(cstar, true, Astar, Bprime, opts);
+    detail::pattern_term(cstar, false, Bstar, A, opts);
     return cstar;
 }
 

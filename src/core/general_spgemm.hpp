@@ -72,7 +72,6 @@ GeneralSpgemmStats general_dynamic_spgemm(
     ProcessGrid& grid = C.shape().grid();
     const int rows = grid.rows();
     const int i = grid.grid_row();
-    const index_t n = Aprime.shape().nrows();
     const BlockPartition kr = grid.row_partition(Aprime.shape().ncols());
     const BlockPartition kc = grid.col_partition(Aprime.shape().ncols());
     const auto& rp = C.shape().row_partition();
@@ -122,27 +121,13 @@ GeneralSpgemmStats general_dynamic_spgemm(
         Cstar.local().nnz(), sum);
 
     // Re-slab A^R onto the inner row partition: this rank ends up with
-    // A^R[:, K^r_i] in full (the Algorithm 1 slab exchange; degenerates to
-    // the transpose exchange on a square grid).
+    // A^R[:, K^r_i] in full (the slab of Algorithm 1's left-update term;
+    // degenerates to the transpose exchange on a square grid).
     Dcsr<T> ar_slab;
     {
         Profiler::Scope scope(Phase::SendRecv);
-        std::vector<Triple<T>> trips;
-        trips.reserve(ar.nnz());
-        const index_t row_off = Aprime.shape().row_partition().offset(i);
-        const index_t col_off = kc.offset(grid.grid_col());
-        ar.for_each([&](index_t u, index_t v, const T& x) {
-            trips.push_back({u + row_off, v + col_off, x});
-        });
-        auto send = detail::bucket_triples(
-            trips, rows, [&](const Triple<T>& t) { return kr.owner(t.col); });
-        auto recv = grid.col_comm().alltoallv(std::move(send));
-        trips.clear();
-        for (const auto& buf : recv) detail::unpack_triples(buf, trips);
-        trips = detail::allgather_triples(grid.row_comm(), std::move(trips));
-        for (auto& t : trips) t.col -= kr.offset(i);
-        ar_slab =
-            sparse::dcsr_from_unique_triples(n, kr.size(i), std::move(trips));
+        ar_slab = detail::update_slab(Aprime.shape(), ar, /*inner_row=*/false,
+                                      /*k_row=*/true);
     }
     par::Buffer mask_snapshot;
     {

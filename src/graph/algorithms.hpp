@@ -11,16 +11,16 @@
 //  - DynamicContraction — cluster contraction C = Sᵀ·A·S maintained under
 //    batch edge insertions via the transposed variant of Algorithm 1.
 //
-// The free helpers (elementwise_combine, source_selector) are the small
-// algebra the classes share. For continuously maintaining these values
-// against a live op stream, see the adapters in
-// src/analytics/graph_maintainers.hpp.
+// The free helper source_selector is the small algebra the classes share.
+// For continuously maintaining these values against a live op stream, see
+// the adapters in src/analytics/graph_maintainers.hpp.
 #pragma once
 
 #include <stdexcept>
 #include <vector>
 
 #include "core/dynamic_spgemm.hpp"
+#include "core/ewise.hpp"
 #include "core/summa.hpp"
 #include "core/update_ops.hpp"
 #include "par/buffer.hpp"
@@ -28,7 +28,6 @@
 
 namespace dsg::graph {
 
-using core::DistDcsr;
 using core::DistDynamicMatrix;
 using core::ProcessGrid;
 
@@ -49,16 +48,6 @@ inline void restore_local_block(DistDynamicMatrix<double>& m,
 }
 
 }  // namespace detail
-
-/// Element-wise combine of two identically distributed matrices:
-/// A <- A (+) B with add(old, new). Local-only.
-template <typename T, typename AddFn>
-void elementwise_combine(DistDynamicMatrix<T>& A, const DistDynamicMatrix<T>& B,
-                         AddFn&& add) {
-    B.local().for_each([&](sparse::index_t i, sparse::index_t j, const T& v) {
-        A.local().insert_or_add(i, j, v, add);
-    });
-}
 
 /// Exact triangle count of an undirected simple graph given as a 0/1
 /// adjacency matrix (both edge directions present, no self loops):
@@ -88,10 +77,11 @@ inline double triangle_count(const DistDynamicMatrix<double>& A,
 /// removal is the algebraic update a* = -1 (Section V: "A* can simply be
 /// computed as A' - A in rings"), so inserts and removals travel together.
 /// The distributive expansion A'A' = AA + A A* + A* A' maintains C in two
-/// passes of Algorithm 1 (first Y = A A* with the pre-update A, then apply
-/// the update, then X = A* A' with the post-update A), avoiding a second
-/// copy of A. Algorithm 1 erases every C entry that cancels to zero as it
-/// absorbs, so neither matrix ever stores a zero.
+/// one-term calls of Algorithm 1: first the right-update term A A* with the
+/// pre-update A, then the update itself, then the left-update term A* A'
+/// with the post-update A. That avoids a second copy of A, and neither call
+/// runs an empty term. Algorithm 1 erases every C entry that cancels to
+/// zero as it absorbs, so neither matrix ever stores a zero.
 ///
 /// The count is kept incrementally: each rank holds its share of
 /// sum(C .* A) = 6 * triangles and moves it by three sums over its block
@@ -128,13 +118,12 @@ public:
         ProcessGrid& grid = a_.shape().grid();
         const auto n = a_.shape().nrows();
         auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
-        DistDcsr<double> empty(grid, n, n);
         core::DynamicSpgemmOptions opts;
         opts.pool = pool_;
         share_ += c_weighted_by(astar.local());
-        // Pass 1: C += A_old * A*   (left update matrix empty).
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, empty, a_, astar, opts);
+        // Pass 1: C += A_old * A*, the term of a right update.
+        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(c_, a_, astar,
+                                                                  opts);
         share_ += c_weighted_by(astar.local());
         // Apply the update: A <- A + A*, then erase the removed edges so
         // pass 2 does not multiply against them.
@@ -144,9 +133,9 @@ public:
             const double* v = a_.local().find(i, j);
             if (v != nullptr && *v == 0.0) a_.local().erase(i, j);
         });
-        // Pass 2: C += A* * A_new  (right update matrix empty).
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            c_, a_, astar, a_, empty, opts);
+        // Pass 2: C += A* * A_new, the term of a left update.
+        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(c_, astar, a_,
+                                                                  opts);
         share_ += c_weighted_by(astar.local());
     }
 
@@ -234,15 +223,15 @@ inline DistDynamicMatrix<double> khop_distances(
     for (int h = 2; h <= hops; ++h) {
         frontier =
             core::summa_multiply<sparse::MinPlus<double>>(frontier, A, opts);
-        elementwise_combine(D, frontier,
-                            [](double a, double b) { return std::min(a, b); });
+        core::ewise_add(D, frontier,
+                        [](double a, double b) { return std::min(a, b); });
     }
     return D;
 }
 
 /// Maintains the one-hop product D = S A over (min,+) under *algebraic*
-/// updates of A (new edges or weight decreases): D' = D min S A*, a single
-/// Algorithm 1 call in which only the right operand changed.
+/// updates of A (new edges or weight decreases): D' = D min S A*, one
+/// Algorithm 1 call for the term of a right update (S never changes).
 class DynamicMultiSourceProduct {
 public:
     DynamicMultiSourceProduct(ProcessGrid& grid, sparse::index_t n,
@@ -271,13 +260,12 @@ public:
         ProcessGrid& grid = a_.shape().grid();
         const auto n = a_.shape().nrows();
         auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
-        DistDcsr<double> s_empty(grid, s_.shape().nrows(), n);
         core::DynamicSpgemmOptions opts;
         opts.pool = pool_;
-        // D' = D min (S A*): left operand S unchanged, right updated.
+        // D' = D min (S A*): the term of a right update; S is unchanged.
         core::add_update<sparse::MinPlus<double>>(a_, astar, pool_);
-        core::dynamic_spgemm_algebraic<sparse::MinPlus<double>>(
-            d_, s_, s_empty, a_, astar, opts);
+        core::dynamic_spgemm_algebraic<sparse::MinPlus<double>>(d_, s_, astar,
+                                                                opts);
     }
 
     [[nodiscard]] const DistDynamicMatrix<double>& distances() const {
@@ -312,10 +300,11 @@ private:
 /// cluster-assignment selector (one 1 per row); entry C(a, b) accumulates
 /// the total weight of edges from cluster a to cluster b.
 ///
-/// Both stages stay dynamic: T = A S follows A* through Algorithm 1 (which
-/// also emits T* = A* S), and C = S^T T follows T* through the transposed
-/// variant of Algorithm 1 (Section V-C) — per batch, only hypersparse
-/// matrices cross rank boundaries.
+/// Both stages stay dynamic, one term of Eq. 1 each: T = A S follows A*
+/// through the left-update term of Algorithm 1 (which also emits T* = A* S),
+/// and C = S^T T follows T* through the right-update term S^T T* of the
+/// transposed variant (Section V-C), whose entries go straight to their
+/// owners. Per batch, only hypersparse matrices cross rank boundaries.
 class DynamicContraction {
 public:
     /// assignment[v] = cluster of vertex v (in [0, clusters)); identical on
@@ -353,17 +342,15 @@ public:
 
         // Stage 1: T += A* S, capturing T* = A* S for the next stage.
         DistDynamicMatrix<double> tstar_dyn(grid, n, s);
-        core::DistDcsr<double> empty_ns(grid, n, s);
         core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(
-            t_, a_, astar, s_, empty_ns, opts, &tstar_dyn);
+            t_, astar, s_, opts, &tstar_dyn);
         core::add_update<sparse::PlusTimes<double>>(a_, astar, pool_);
 
         // Stage 2: C += S^T T* (transposed-left dynamic SpGEMM).
         core::DistDcsr<double> tstar(grid, n, s);
         tstar.local() = tstar_dyn.local().to_dcsr();
-        core::DistDcsr<double> empty_sel(grid, n, s);
         core::dynamic_spgemm_algebraic_transA<sparse::PlusTimes<double>>(
-            c_, s_, empty_sel, t_, tstar, opts);
+            c_, s_, tstar, opts);
     }
 
     [[nodiscard]] const DistDynamicMatrix<double>& contracted() const {

@@ -145,16 +145,11 @@ public:
         return seqs_[static_cast<std::size_t>(rank)]++;
     }
 
-    /// Internal tag for the seq-th collective.
-    static int coll_tag(std::uint32_t seq) {
-        return kUserTagLimit + static_cast<int>(seq % (1u << 10));
-    }
-
-    /// Internal tag for the seq-th async post. Disjoint from coll_tag's range
-    /// and wide enough that outstanding posts never collide (a post/wait pair
+    /// Internal tag for the seq-th async post: above every user tag, and
+    /// wide enough that outstanding posts never collide (a post/wait pair
     /// would need 2^20 younger siblings in flight to wrap).
     static int async_tag(std::uint32_t seq) {
-        return kUserTagLimit + (1 << 10) + static_cast<int>(seq % (1u << 20));
+        return kUserTagLimit + static_cast<int>(seq % (1u << 20));
     }
 
     /// Publish-and-exchange slot area; protocol: write slot, barrier, read
@@ -395,33 +390,6 @@ std::vector<Buffer> Comm::allgather(Buffer msg) {
     g.barrier_wait();
     out[static_cast<std::size_t>(rank_)] = std::move(msg);
     return out;
-}
-
-Buffer Comm::reduce_merge(int root, Buffer mine,
-                          const std::function<Buffer(Buffer, Buffer)>& merge) {
-    auto& g = *group_;
-    const int p = g.size();
-    g.stats().collectives.fetch_add(1, std::memory_order_relaxed);
-    const auto seq = g.next_seq(rank_);
-    const int tag = detail::CommGroup::coll_tag(seq);
-    const int rel = (rank_ - root + p) % p;
-    Buffer acc = std::move(mine);
-    for (int step = 1; step < p; step <<= 1) {
-        if (rel & step) {
-            const int dst = ((rel - step) + root) % p;
-            g.stats().p2p_messages.fetch_add(1, std::memory_order_relaxed);
-            g.stats().reduce_bytes.fetch_add(acc.size(),
-                                             std::memory_order_relaxed);
-            g.deliver(rank_, dst, tag, std::move(acc));
-            return {};
-        }
-        if (rel + step < p) {
-            const int src = ((rel + step) + root) % p;
-            Buffer other = g.take(rank_, src, tag);
-            acc = merge(std::move(acc), std::move(other));
-        }
-    }
-    return acc;
 }
 
 void Comm::allreduce_or(std::vector<std::uint64_t>& words) {

@@ -55,6 +55,8 @@ struct CommStats {
     std::atomic<std::uint64_t> p2p_bytes{0};
     std::atomic<std::uint64_t> bcast_bytes{0};
     std::atomic<std::uint64_t> alltoall_bytes{0};
+    /// 0: every kernel reduces by all-to-all. Kept because reports
+    /// (perfbench, obs/mirrors.hpp) read it.
     std::atomic<std::uint64_t> reduce_bytes{0};
     std::atomic<std::uint64_t> gather_bytes{0};
     std::atomic<std::uint64_t> barriers{0};
@@ -169,14 +171,6 @@ public:
     std::vector<Buffer> gather(int root, Buffer msg);
     /// Every rank receives every rank's buffer, indexed by rank.
     std::vector<Buffer> allgather(Buffer msg);
-    /// Binomial-tree reduction: interior nodes combine their subtree's
-    /// buffers with merge(acc, incoming); the fully merged buffer is returned
-    /// at root, an empty buffer elsewhere. It serves the transposed variants
-    /// of the algebraic dynamic SpGEMM, whose reduced block is re-split to
-    /// its owners; the untransposed kernels send each partial to its owner
-    /// with alltoallv instead.
-    Buffer reduce_merge(int root, Buffer mine,
-                        const std::function<Buffer(Buffer, Buffer)>& merge);
 
     /// All-reduce of a trivially copyable value with a commutative combine.
     template <typename T, typename Op>

@@ -2,7 +2,7 @@
 // row-accessible matrix and R is hypersparse (DCSR).
 //
 // Needed by the transposed variants of the dynamic SpGEMM (Section V-C):
-// there the Y-term multiplies the *stored* block of A (row-major, not
+// there the term A^T B* multiplies the *stored* block of A (row-major, not
 // transposable for free) against a hypersparse update block. Instead of
 // materializing L^T, we iterate the few non-empty rows t of R and pair them
 // with row t of L:   out(u, v) = add-reduce over t of term(L(t,u), R(t,v), t).

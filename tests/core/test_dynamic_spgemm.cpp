@@ -66,9 +66,8 @@ TEST_P(DynSpgemmP, InsertionsIntoAMatchRecompute) {
             auto upd = random_triples(rng, n, kk, 25);
             sparse::combine_duplicates<PlusTimes<double>>(upd);
             auto Astar = build_update_matrix(grid, n, kk, empty_unless0(upd));
-            core::DistDcsr<double> Bstar(grid, kk, m);  // empty
-            // Dynamic update of C, then of A itself.
-            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+            // Dynamic update of C (the left-update term), then of A itself.
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, upd);
             test::expect_matches(
@@ -102,10 +101,11 @@ TEST_P(DynSpgemmP, SimultaneousUpdatesOfBothOperands) {
             sparse::combine_duplicates<PlusTimes<double>>(ub);
             auto Astar = build_update_matrix(grid, n, n, feed(ua));
             auto Bstar = build_update_matrix(grid, n, n, feed(ub));
-            // C' = C + A* B' + A B': apply B's update *first* so Bprime is
-            // available, keep A pre-update for the A B* term.
+            // C' = C + A* B' + A B*, one call per term: apply B's update
+            // *first* so Bprime is available, keep A pre-update for A B*.
             core::add_update<PlusTimes<double>>(B, Bstar);
-            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B);
+            dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
@@ -141,8 +141,7 @@ TEST_P(DynSpgemmP, RingDeletionsViaNegativeUpdates) {
             am.erase({ta[x].row, ta[x].col});
         }
         auto Astar = build_update_matrix(grid, n, n, feed(negs));
-        core::DistDcsr<double> Bstar(grid, n, n);
-        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B);
         core::add_update<PlusTimes<double>>(A, Astar);
         test::expect_matches(C,
                              reference_multiply<PlusTimes<double>>(am, as_map(tb)));
@@ -189,8 +188,7 @@ TEST_P(DynSpgemmP, CancelledEntriesAreErasedNotStored) {
         ASSERT_GT(emptied, 0u);
 
         auto Astar = build_update_matrix(grid, n, n, feed(negs));
-        core::DistDcsr<double> Bstar(grid, n, n);
-        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B);
         test::expect_matches_exactly(C, expect);
         for (const auto& t : C.gather_global())
             EXPECT_NE(t.value, 0.0) << "stored zero at (" << t.row << ", "
@@ -221,8 +219,7 @@ TEST_P(DynSpgemmP, MinPlusDecreasingUpdatesAreAlgebraic) {
             auto upd = random_triples(rng, n, n, 15, 0.5, 4.0);  // small: wins min
             sparse::combine_duplicates<MinPlus<double>>(upd);
             auto Astar = build_update_matrix(grid, n, n, feed(upd));
-            core::DistDcsr<double> Bstar(grid, n, n);
-            dynamic_spgemm_algebraic<MinPlus<double>>(C, A, Astar, B, Bstar);
+            dynamic_spgemm_algebraic<MinPlus<double>>(C, Astar, B);
             core::add_update<MinPlus<double>>(A, Astar);
             am = reference_add<MinPlus<double>>(am, upd);
             // MinPlus result entries equal the recomputation exactly (no
@@ -263,27 +260,30 @@ TEST_P(DynSpgemmP, PatternIsSupersetWithCorrectBloomBits) {
         auto upd = random_triples(rng, n, n, 20);
         sparse::combine_duplicates<PlusTimes<double>>(upd);
         auto Astar = build_update_matrix(grid, n, n, feed(upd));
-        core::DistDcsr<double> Bstar(grid, n, n);
 
-        auto Cstar = compute_pattern(A, Astar, B, Bstar);
-        std::map<std::pair<index_t, index_t>, std::uint64_t> pat;
-        for (const auto& t : Cstar.gather_global()) pat[{t.row, t.col}] = t.value;
-
-        // Reference: C* = A* B (B' == B since Bstar empty).
-        const auto am = as_map(upd);
-        const auto bm = as_map(tb);
-        for (const auto& [ca, va] : am)
-            for (const auto& [cb, vb] : bm) {
-                if (ca.second != cb.first) continue;
-                auto it = pat.find({ca.first, cb.second});
-                ASSERT_NE(it, pat.end()) << "pattern misses a changed cell";
-                EXPECT_NE(it->second & sparse::bloom_bit(ca.second), 0u);
-            }
-        // Exactness of the structure (no Y term here): every pattern entry is
-        // explained by some update row.
-        auto cstar_ref = reference_multiply<PlusTimes<double>>(am, bm);
-        for (const auto& [coord, bits] : pat)
-            EXPECT_TRUE(cstar_ref.count(coord));
+        // Every cell of the product lm * rm is in the pattern with the bit of
+        // each contributing inner index, and every pattern entry is explained
+        // by some product.
+        auto expect_pattern = [&](const DistDynamicMatrix<std::uint64_t>& P,
+                                  const CoordMap& lm, const CoordMap& rm) {
+            std::map<std::pair<index_t, index_t>, std::uint64_t> pat;
+            for (const auto& t : P.gather_global())
+                pat[{t.row, t.col}] = t.value;
+            for (const auto& [ca, va] : lm)
+                for (const auto& [cb, vb] : rm) {
+                    if (ca.second != cb.first) continue;
+                    auto it = pat.find({ca.first, cb.second});
+                    ASSERT_NE(it, pat.end()) << "pattern misses a changed cell";
+                    EXPECT_NE(it->second & sparse::bloom_bit(ca.second), 0u);
+                }
+            const auto ref = reference_multiply<PlusTimes<double>>(lm, rm);
+            for (const auto& [coord, bits] : pat)
+                EXPECT_TRUE(ref.count(coord));
+        };
+        // The term of a left update, A* B, and of a right update, A B*, with
+        // the same hypersparse matrix as the update.
+        expect_pattern(compute_pattern(Astar, B), as_map(upd), as_map(tb));
+        expect_pattern(compute_pattern(A, Astar), as_map(ta), as_map(upd));
     });
 }
 
@@ -310,12 +310,11 @@ TEST_P(DynSpgemmP, DynamicBeatsSummaOnCommunicationVolume) {
         auto upd = random_triples(rng, n, n, 16);
         sparse::combine_duplicates<PlusTimes<double>>(upd);
         auto Astar = build_update_matrix(grid, n, n, feed(upd));
-        core::DistDcsr<double> Bstar(grid, n, n);
 
         c.barrier();
         if (c.rank() == 0) c.stats().reset();
         c.barrier();
-        dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+        dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B);
         c.barrier();
         const auto dyn = c.stats().snapshot().total_bytes();
 
@@ -357,8 +356,8 @@ TEST_P(DynSpgemmP, AsyncIsBitIdenticalToSync) {
             CoordMap out;
             dsg::test::run_with_caller(c, caller, [&] {
                 auto C = summa_multiply<PlusTimes<double>>(A, B);
-                dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B,
-                                                            Bstar);
+                dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B);
+                dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Bstar);
                 out = as_map(C.gather_global());
             });
             return out;

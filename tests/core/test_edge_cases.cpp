@@ -45,8 +45,7 @@ TEST(EdgeCases, DimensionSmallerThanGridLeavesEmptyBlocks) {
             grid, 3, 3,
             c.rank() == 0 ? std::vector<Triple<double>>{{2, 2, 5.0}}
                           : std::vector<Triple<double>>{});
-        DistDcsr<double> Bstar(grid, 3, 3);
-        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, U, A, Bstar);
+        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, U, A);
         core::add_update<PlusTimes<double>>(A, U);
         auto am = as_map(ts);
         am[{2, 2}] = 5.0;
@@ -100,8 +99,9 @@ TEST(EdgeCases, UpdatesAgainstCompletelyEmptyMatrices) {
         DistDynamicMatrix<double> B(grid, 12, 12);
         DistDynamicMatrix<double> C(grid, 12, 12);
         DistDcsr<double> empty(grid, 12, 12);
-        // Everything empty: must be a clean no-op on every rank.
-        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, empty, B, empty);
+        // Everything empty: both terms must be clean no-ops on every rank.
+        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, empty, B);
+        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, empty);
         EXPECT_EQ(C.global_nnz(), 0u);
         auto pattern = core::compute_pattern(A, empty, B, empty);
         EXPECT_EQ(pattern.global_nnz(), 0u);
@@ -128,8 +128,7 @@ TEST(EdgeCases, RectangularChainAcrossDifferentShapes) {
         auto upd = test::random_triples(rng, 9, 17, 10);
         sparse::combine_duplicates<PlusTimes<double>>(upd);
         auto Astar = build_update_matrix(grid, 9, 17, feed(upd));
-        DistDcsr<double> Bstar(grid, 17, 5);
-        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B, Bstar);
+        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B);
         core::add_update<PlusTimes<double>>(A, Astar);
         auto am = test::reference_add<PlusTimes<double>>(as_map(ta), upd);
         test::expect_matches(

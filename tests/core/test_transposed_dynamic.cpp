@@ -16,7 +16,6 @@ namespace {
 using namespace dsg;
 using core::build_dynamic_matrix;
 using core::build_update_matrix;
-using core::DistDcsr;
 using core::DistDynamicMatrix;
 using core::dynamic_spgemm_algebraic;
 using core::dynamic_spgemm_algebraic_transA;
@@ -62,14 +61,11 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
         // Initial C = A^T B via untransposed machinery on explicit A^T.
         DistDynamicMatrix<double> C(grid, n, m);
         {
-            DistDcsr<double> a_empty(grid, inner, n);
+            // C += A*^T B with A* = all of A (valid algebraic path for
+            // building the initial product through the transA code).
             auto Astar_full = build_update_matrix(grid, inner, n, feed(ta));
-            // C += A^T B with A "empty" and A* = all of A (valid algebraic
-            // path for building the initial product through the transA code).
-            DistDynamicMatrix<double> A0(grid, inner, n);
-            DistDcsr<double> b_empty(grid, inner, m);
-            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, Astar_full,
+                                                               B);
         }
         CoordMap am = as_map(ta);
         const CoordMap bm = as_map(tb);
@@ -79,9 +75,7 @@ TEST_P(TransAP, UpdatesOfLeftOperandMatchRecompute) {
             auto upd = random_triples(rng, inner, n, 18, -3.0, 3.0);
             sparse::combine_duplicates<PlusTimes<double>>(upd);
             auto Astar = build_update_matrix(grid, inner, n, feed(upd));
-            DistDcsr<double> Bstar(grid, inner, m);
-            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, Astar, B);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, upd);
             test::expect_matches(C, reference_transposed(am, bm));
@@ -109,23 +103,19 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
         // Initial product through the transA path (A* = A, as above).
         DistDynamicMatrix<double> C(grid, n, m);
         {
-            DistDynamicMatrix<double> A0(grid, inner, n);
             auto Astar_full = build_update_matrix(grid, inner, n, feed(ta));
-            DistDcsr<double> b_empty(grid, inner, m);
-            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, Astar_full,
+                                                               B);
         }
 
         for (int batch = 0; batch < 3; ++batch) {
             auto upd = random_triples(rng, inner, m, 16, -3.0, 3.0);
             sparse::combine_duplicates<PlusTimes<double>>(upd);
             auto Bstar = build_update_matrix(grid, inner, m, feed(upd));
-            DistDcsr<double> Astar(grid, inner, n);
-            // C += A^T B* (Y-term only); B' not needed by the X-term here but
-            // must reflect the post-update state per the algorithm contract.
+            // C += A^T B*, the term of a right update: its partial rows follow
+            // A's column partition, so every entry is routed to its owner.
             core::add_update<PlusTimes<double>>(B, Bstar);
-            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Bstar);
             bm = reference_add<PlusTimes<double>>(bm, upd);
             test::expect_matches(C, reference_transposed(am, bm));
         }
@@ -149,11 +139,9 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
         auto B = build_dynamic_matrix<PlusTimes<double>>(grid, inner, m, feed(tb));
         DistDynamicMatrix<double> C(grid, n, m);
         {
-            DistDynamicMatrix<double> A0(grid, inner, n);
             auto Astar_full = build_update_matrix(grid, inner, n, feed(ta));
-            DistDcsr<double> b_empty(grid, inner, m);
-            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, Astar_full,
+                                                               B);
         }
         CoordMap am = as_map(ta), bm = as_map(tb);
         for (int batch = 0; batch < 2; ++batch) {
@@ -163,10 +151,11 @@ TEST_P(TransAP, SimultaneousUpdatesOfBothOperands) {
             sparse::combine_duplicates<PlusTimes<double>>(ub);
             auto Astar = build_update_matrix(grid, inner, n, feed(ua));
             auto Bstar = build_update_matrix(grid, inner, m, feed(ub));
-            // C* = A*^T B' + A^T B*: B updated first, A afterwards.
+            // C* = A*^T B' + A^T B*, one call per term: B updated first, A
+            // afterwards.
             core::add_update<PlusTimes<double>>(B, Bstar);
-            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Astar, B,
-                                                               Bstar);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, Astar, B);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
@@ -194,10 +183,9 @@ TEST_P(TransAP, CstarOutCollectsExactlyTheDelta) {
         auto upd = random_triples(rng, n, n, 15);
         sparse::combine_duplicates<PlusTimes<double>>(upd);
         auto Astar = build_update_matrix(grid, n, n, feed(upd));
-        DistDcsr<double> Bstar(grid, n, n);
         DistDynamicMatrix<double> cstar(grid, n, n);
-        core::dynamic_spgemm_algebraic<PlusTimes<double>>(
-            C, A, Astar, B, Bstar, {}, &cstar);
+        core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B, {},
+                                                          &cstar);
         // cstar == A* B exactly.
         auto expect = test::reference_multiply<PlusTimes<double>>(
             as_map(upd), as_map(tb));
@@ -239,14 +227,12 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
         auto B = build_dynamic_matrix<PlusTimes<double>>(grid, m, inner, feed(tb));
         CoordMap am = as_map(ta), bm = as_map(tb);
 
-        // Initial C = A B^T through the transB path: A0 empty, A* = A.
+        // Initial C = A B^T through the transB path: A* = A.
         DistDynamicMatrix<double> C(grid, n, m);
         {
-            DistDynamicMatrix<double> A0(grid, n, inner);
             auto Astar_full = build_update_matrix(grid, n, inner, feed(ta));
-            DistDcsr<double> b_empty(grid, m, inner);
             core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A0, Astar_full, B, b_empty);
+                C, Astar_full, B);
         }
         test::expect_matches(C, reference_transposed_b(am, bm));
 
@@ -257,10 +243,13 @@ TEST_P(TransBP, UpdatesOfBothOperandsMatchRecompute) {
             sparse::combine_duplicates<PlusTimes<double>>(ub);
             auto Astar = build_update_matrix(grid, n, inner, feed(ua));
             auto Bstar = build_update_matrix(grid, m, inner, feed(ub));
-            // C* = A* B'^T + A B*^T: update B first, A afterwards.
+            // C* = A* B'^T + A B*^T, one call per term: update B first, A
+            // afterwards.
             core::add_update<PlusTimes<double>>(B, Bstar);
-            core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A, Astar, B, Bstar);
+            core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(C, Astar,
+                                                                     B);
+            core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(C, A,
+                                                                     Bstar);
             core::add_update<PlusTimes<double>>(A, Astar);
             am = reference_add<PlusTimes<double>>(am, ua);
             bm = reference_add<PlusTimes<double>>(bm, ub);
@@ -292,10 +281,9 @@ TEST_P(TransBP, RightOnlyUpdateIsTheOuterProductCase) {
             auto ub = random_triples(rng, m, inner, 14);
             sparse::combine_duplicates<PlusTimes<double>>(ub);
             auto Bstar = build_update_matrix(grid, m, inner, feed(ub));
-            DistDcsr<double> Astar(grid, n, inner);
             core::add_update<PlusTimes<double>>(B, Bstar);
-            core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(
-                C, A, Astar, B, Bstar);
+            core::dynamic_spgemm_algebraic_transB<PlusTimes<double>>(C, A,
+                                                                     Bstar);
             bm = reference_add<PlusTimes<double>>(bm, ub);
             test::expect_matches(C, reference_transposed_b(am, bm));
         }

@@ -313,7 +313,7 @@ TEST_P(AlgoP, DynamicContractionMatchesDirectComputation) {
     });
 }
 
-INSTANTIATE_TEST_SUITE_P(Worlds, AlgoP, ::testing::Values(1, 4));
+INSTANTIATE_TEST_SUITE_P(Worlds, AlgoP, ::testing::Values(1, 4, 6));
 
 class TriangleCounterG : public ::testing::TestWithParam<dsg::test::GridCase> {};
 

@@ -61,9 +61,8 @@ TEST_P(EndToEnd, StreamingProductMaintenanceLifecycle) {
             auto Astar = core::build_update_matrix(
                 grid, n, n,
                 c.rank() == 0 ? batch : std::vector<Triple<double>>{});
-            core::DistDcsr<double> Bstar(grid, n, n);
-            core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, A, Astar, B,
-                                                              Bstar, dyn_opts);
+            core::dynamic_spgemm_algebraic<PlusTimes<double>>(C, Astar, B,
+                                                              dyn_opts);
             core::add_update<PlusTimes<double>>(A, Astar, &pool);
         }
         // C must equal the static product of the final A and B.

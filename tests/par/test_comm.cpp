@@ -5,6 +5,7 @@
 #include <numeric>
 #include <string>
 
+#include "common/reduce_to_root.hpp"
 #include "par/comm.hpp"
 
 namespace {
@@ -148,20 +149,19 @@ TEST_P(CommP, AllgatherGivesEveryoneEverything) {
 TEST_P(CommP, ReduceMergeConcatenatesAllContributions) {
     const int p = GetParam();
     run_world(p, [&](Comm& c) {
+        Buffer every_rank;  // what the root must see: each rank's byte, in order
+        for (int r = 0; r < c.size(); ++r)
+            every_rank.push_back(static_cast<std::byte>(r));
         for (int root = 0; root < c.size(); ++root) {
-            // Merge = sum of comma counts; encode each rank as one byte.
-            Buffer mine(1, static_cast<std::byte>(c.rank()));
-            Buffer out = c.reduce_merge(
-                root, std::move(mine), [](Buffer a, Buffer b) {
-                    a.insert(a.end(), b.begin(), b.end());
-                    return a;
-                });
+            Buffer out;
+            const std::uint64_t bytes = dsg::test::alltoall_bytes_of(c, [&] {
+                out = dsg::test::reduce_to_root(
+                    c, root, Buffer(1, static_cast<std::byte>(c.rank())));
+            });
+            // One byte from every non-root; the root's own copy is free.
+            EXPECT_EQ(bytes, static_cast<std::uint64_t>(c.size() - 1));
             if (c.rank() == root) {
-                ASSERT_EQ(out.size(), static_cast<std::size_t>(c.size()));
-                long long sum = 0;
-                for (auto byte : out) sum += static_cast<int>(byte);
-                EXPECT_EQ(sum, static_cast<long long>(c.size()) *
-                                   (c.size() - 1) / 2);
+                EXPECT_EQ(out, every_rank);
             } else {
                 EXPECT_TRUE(out.empty());
             }

@@ -9,6 +9,7 @@
 #include <random>
 #include <thread>
 
+#include "common/reduce_to_root.hpp"
 #include "par/comm.hpp"
 
 namespace {
@@ -56,54 +57,71 @@ TEST(CommStress, LargePayloadBroadcastAndReduce) {
         ASSERT_EQ(got.size(), mb);
         EXPECT_TRUE(check_payload(got, 99));
 
-        // Tree reduction of 1 MiB buffers (concatenating lengths).
-        Buffer mine = payload(static_cast<std::uint64_t>(c.rank()), 1 << 20);
-        Buffer out = c.reduce_merge(0, std::move(mine), [](Buffer a, Buffer b) {
-            a.insert(a.end(), b.begin(), b.end());
-            return a;
+        // Reduction of 1 MiB buffers to rank 0, concatenated in rank order.
+        const std::size_t part = 1 << 20;
+        Buffer out;
+        const std::uint64_t bytes = dsg::test::alltoall_bytes_of(c, [&] {
+            out = dsg::test::reduce_to_root(
+                c, 0, payload(static_cast<std::uint64_t>(c.rank()), part));
         });
+        EXPECT_EQ(bytes, 3 * part);  // the three non-root payloads
         if (c.rank() == 0) {
-            EXPECT_EQ(out.size(), std::size_t{4} << 20);
+            ASSERT_EQ(out.size(), 4 * part);
+            for (std::size_t r = 0; r < 4; ++r)
+                EXPECT_TRUE(check_payload(
+                    Buffer(out.begin() + static_cast<std::ptrdiff_t>(r * part),
+                           out.begin() +
+                               static_cast<std::ptrdiff_t>((r + 1) * part)),
+                    r))
+                    << "contribution of rank " << r;
         }
     });
 }
 
 TEST(CommStress, InterleavedCollectivesOnRowAndColumnComms) {
     // The access pattern of the SpGEMM rounds: alternating broadcasts and
-    // reductions on both sub-communicators of a 3x3 grid, many times.
+    // reductions to a root on both sub-communicators of a 3x3 grid, many
+    // times.
+    constexpr int kRounds = 30;
     run_world(9, [&](Comm& c) {
         const int row = c.rank() / 3;
         const int col = c.rank() % 3;
         Comm rc = c.split(row, col);
         Comm cc = c.split(col, row);
         std::mt19937_64 rng(77);
-        for (int round = 0; round < 30; ++round) {
-            const int root = static_cast<int>(rng() % 3);
-            Buffer rmsg;
-            if (rc.rank() == root)
-                rmsg = payload(static_cast<std::uint64_t>(row * 100 + round), 64);
-            const Buffer rgot = rc.bcast(root, std::move(rmsg));
-            EXPECT_TRUE(check_payload(
-                rgot, static_cast<std::uint64_t>(row * 100 + round)));
+        const std::uint64_t bytes = dsg::test::alltoall_bytes_of(c, [&] {
+            for (int round = 0; round < kRounds; ++round) {
+                const int root = static_cast<int>(rng() % 3);
+                Buffer rmsg;
+                if (rc.rank() == root)
+                    rmsg = payload(
+                        static_cast<std::uint64_t>(row * 100 + round), 64);
+                const Buffer rgot = rc.bcast(root, std::move(rmsg));
+                EXPECT_TRUE(check_payload(
+                    rgot, static_cast<std::uint64_t>(row * 100 + round)));
 
-            Buffer cmsg;
-            if (cc.rank() == root)
-                cmsg = payload(static_cast<std::uint64_t>(col * 100 + round), 64);
-            const Buffer cgot = cc.bcast(root, std::move(cmsg));
-            EXPECT_TRUE(check_payload(
-                cgot, static_cast<std::uint64_t>(col * 100 + round)));
+                Buffer cmsg;
+                if (cc.rank() == root)
+                    cmsg = payload(
+                        static_cast<std::uint64_t>(col * 100 + round), 64);
+                const Buffer cgot = cc.bcast(root, std::move(cmsg));
+                EXPECT_TRUE(check_payload(
+                    cgot, static_cast<std::uint64_t>(col * 100 + round)));
 
-            Buffer acc(8, std::byte{1});
-            Buffer red = cc.reduce_merge(root, std::move(acc),
-                                         [](Buffer a, Buffer b) {
-                                             a.insert(a.end(), b.begin(),
-                                                      b.end());
-                                             return a;
-                                         });
-            if (cc.rank() == root) {
-                EXPECT_EQ(red.size(), 24u);
+                // Each column rank contributes 8 bytes of its own rank + 1.
+                const Buffer red = dsg::test::reduce_to_root(
+                    cc, root, Buffer(8, static_cast<std::byte>(cc.rank() + 1)));
+                if (cc.rank() == root) {
+                    Buffer want;
+                    for (int r = 0; r < 3; ++r)
+                        want.insert(want.end(), 8,
+                                    static_cast<std::byte>(r + 1));
+                    EXPECT_EQ(red, want);
+                }
             }
-        }
+        });
+        // Per round, each of the three columns moves two non-root payloads.
+        EXPECT_EQ(bytes, std::uint64_t{kRounds} * 3 * 2 * 8);
     });
 }
 
@@ -279,18 +297,18 @@ TEST(CommStress, RepeatedWorldsDoNotLeakState) {
 TEST(CommStress, ReduceMergeEveryRootEveryWorldSize) {
     for (int p : {2, 3, 5, 8}) {
         run_world(p, [&](Comm& c) {
+            Buffer every_rank;
+            for (int r = 0; r < p; ++r)
+                every_rank.push_back(static_cast<std::byte>(r));
             for (int root = 0; root < p; ++root) {
-                Buffer mine(1, static_cast<std::byte>(c.rank()));
-                Buffer out = c.reduce_merge(root, std::move(mine),
-                                            [](Buffer a, Buffer b) {
-                                                a.insert(a.end(), b.begin(),
-                                                         b.end());
-                                                return a;
-                                            });
+                Buffer out;
+                const std::uint64_t bytes = dsg::test::alltoall_bytes_of(c, [&] {
+                    out = dsg::test::reduce_to_root(
+                        c, root, Buffer(1, static_cast<std::byte>(c.rank())));
+                });
+                EXPECT_EQ(bytes, static_cast<std::uint64_t>(p - 1));
                 if (c.rank() == root) {
-                    long long sum = 0;
-                    for (auto byte : out) sum += static_cast<int>(byte);
-                    EXPECT_EQ(sum, static_cast<long long>(p) * (p - 1) / 2);
+                    EXPECT_EQ(out, every_rank);
                 }
             }
         });
