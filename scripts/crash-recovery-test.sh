@@ -70,9 +70,13 @@ EOF
 # 3. Recovery + resumed run must succeed — with the introspection plane
 #    up: /readyz must answer 503 while the recovery replay (plus the
 #    --induce-stall-ms post-recovery hold) keeps the readiness gate down,
-#    and flip to 200 once the restored engine is serving.
+#    and flip to 200 once the restored engine is serving. The resumed run
+#    streams long enough that the 200 window ends when the ingest-stall
+#    rule sees its backed-up queue (about 0.1-0.16 s), not when the run
+#    exits: a run of a few thousand writes can exit within one poll gap
+#    of the gate opening.
 restore_log="$dir/restore.log"
-"$bin" --checkpoint-dir="$dir" --restore --writes=5000 \
+"$bin" --checkpoint-dir="$dir" --restore --writes=100000 \
     --http-port=0 --induce-stall-ms=2000 >"$restore_log" 2>&1 &
 restore_pid=$!
 
@@ -112,11 +116,12 @@ while time.monotonic() < deadline and first is None:
     if first is None:
         time.sleep(0.05)
 assert first == 503, f"expected 503 during recovery replay, got {first}"
-# ...and must flip to 200 once the restored engine serves.
+# ...and must flip to 200 once the restored engine serves. Poll every
+# 10 ms: the 200 window lasts about 0.1 s.
 deadline = time.monotonic() + 30.0
 status = first
 while time.monotonic() < deadline and status != 200:
-    time.sleep(0.05)
+    time.sleep(0.01)
     status = readyz(port)
 assert status == 200, f"/readyz never reached 200 after recovery ({status})"
 print("crash-recovery-test: /readyz held 503 through replay, then 200")

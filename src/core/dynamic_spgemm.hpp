@@ -36,9 +36,15 @@
 //     the process row. The partials of A^T B* and A* B'^T have rows or
 //     columns on the stored operand's partition instead, which a
 //     rectangular grid does not align with C's; their entries are split by
-//     owner and sent over the world communicator. Each payload is one DCSR
-//     piece per destination, or a zero-length buffer.
-//  4. Absorb. The owner adds its own piece and each incoming one into its
+//     owner and sent over the world communicator. A symmetric product
+//     (dynamic_spgemm_symmetric) keeps one orientation of each unordered
+//     pair: an entry (u, v) goes to the owner of its canonical coordinate,
+//     (u, v) itself if is_canonical(u, v) and (v, u) otherwise, over the
+//     world communicator, and the diagonal is dropped. Each payload is a
+//     sequence of DCSR pieces (one, or for a symmetric product up to two:
+//     the entries kept in place, then the transposed ones), or a
+//     zero-length buffer.
+//  4. Absorb. The owner adds its own pieces and each incoming one into its
 //     block of C in rank order, so the sums formed in C do not depend on
 //     which message arrived first.
 //
@@ -52,6 +58,7 @@
 // SUMMA's O((nnz(A) + nnz(B')) / sqrt(p)).
 #pragma once
 
+#include <cassert>
 #include <utility>
 #include <vector>
 
@@ -67,6 +74,14 @@ namespace dsg::core {
 struct DynamicSpgemmOptions {
     par::ThreadPool* pool = nullptr;
 };
+
+/// Whether (u, v) is the coordinate a symmetric product stores for its
+/// unordered pair: u != v, and u < v exactly when u + v is even. Unlike the
+/// upper triangle, this checkerboard leaves every block of a grid about half
+/// of its entries, so no rank absorbs for two.
+inline bool is_canonical(index_t u, index_t v) {
+    return u != v && (u < v) == ((u + v) % 2 == 0);
+}
 
 namespace detail {
 
@@ -145,10 +160,13 @@ Dcsr<T> update_slab(const DistShape& us, const Dcsr<T>& local, bool inner_row,
 /// The layout of one term of Eq. 1: whether the update is the left operand
 /// (A* B') or the right one (A B*), and which operands are stored
 /// transposed (Section V-C): A as inner x n (A^T B), B as m x inner (A B^T).
+/// sym: the output keeps only the canonical half of the term plus its
+/// transpose (right update, nothing transposed).
 struct Term {
     bool left;
     bool a_t = false;
     bool b_t = false;
+    bool sym = false;
 };
 
 /// Computes one term of Eq. 1 into the output of shape `out` in the four
@@ -165,11 +183,12 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
     ProcessGrid& grid = out.grid();
     // inner_row: the update's inner index is its row index (else its
     // column). k_row: the stored operand's inner block is K^r_i (else K^c_j).
+    assert(!term.sym || (!term.left && !term.a_t && !term.b_t));
     const bool inner_row = term.left ? term.a_t : !term.b_t;
     const bool k_row = term.left ? !term.b_t : term.a_t;
     // The stored block's other index follows C's own block: one partial is
     // one owner's block. Otherwise route each entry by C's partition cp.
-    const bool whole = term.left == k_row;
+    const bool whole = !term.sym && term.left == k_row;
     const BlockPartition& sp =
         term.left ? out.row_partition() : out.col_partition();
     const BlockPartition& cp =
@@ -189,13 +208,21 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
     }
 
     std::vector<par::Buffer> send(static_cast<std::size_t>(comm.size()));
-    Dcsr<V> own;
+    std::vector<Dcsr<V>> own;
     auto keep_or_send = [&](int dest, Dcsr<V> piece) {
-        if (dest == comm.rank())
-            own = std::move(piece);
-        else if (piece.nnz() > 0)
-            send[static_cast<std::size_t>(dest)] = piece.serialize();
+        if (piece.nnz() == 0) return;
+        if (dest == comm.rank()) {
+            own.push_back(std::move(piece));
+        } else {
+            auto& buf = send[static_cast<std::size_t>(dest)];
+            buf.reserve(buf.size() + piece.wire_size());
+            piece.serialize(buf);
+        }
     };
+    // sym: the transposed entries of every partial, per destination rank, in
+    // the destination's local coordinates.
+    std::vector<std::vector<Triple<V>>> flipped(
+        term.sym ? static_cast<std::size_t>(comm.size()) : 0);
     for (int d = 0; d < sp.blocks(); ++d) {
         Dcsr<V> part;
         {
@@ -212,6 +239,38 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
         Profiler::Scope scope(Phase::Scatter);
         if (whole) {
             keep_or_send(d, std::move(part));
+            continue;
+        }
+        if (term.sym) {
+            // Rows of the partial lie in C's row block i (partition cp),
+            // columns in column block d (partition sp). Canonical entries
+            // stay in block (i, d) and are built in place; every other
+            // off-diagonal entry (u, v) goes to the owner of (v, u).
+            const index_t r0 = cp.offset(grid.grid_row());
+            const index_t c0 = sp.offset(d);
+            Dcsr<V> kept(part.nrows(), part.ncols());
+            for (std::size_t r = 0; r < part.row_count(); ++r) {
+                const index_t u = part.row_id(r);
+                const index_t gu = r0 + u;
+                const int b = sp.owner(gu);  // (v, u)'s column block
+                const auto cols = part.row_cols(r);
+                const auto vals = part.row_values(r);
+                bool begun = false;
+                for (std::size_t k = 0; k < cols.size(); ++k) {
+                    const index_t gv = c0 + cols[k];
+                    if (is_canonical(gu, gv)) {
+                        if (!begun) kept.begin_row(u);
+                        begun = true;
+                        kept.push_entry(cols[k], vals[k]);
+                    } else if (gu != gv) {
+                        const int a = cp.owner(gv);
+                        flipped[static_cast<std::size_t>(grid.rank_of(a, b))]
+                            .push_back({gv - cp.offset(a), gu - sp.offset(b),
+                                        vals[k]});
+                    }
+                }
+            }
+            keep_or_send(grid.rank_of(grid.grid_row(), d), std::move(kept));
             continue;
         }
         // Split by the block q of C that owns each entry's other index; rows
@@ -236,15 +295,32 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
             keep_or_send(term.left ? grid.rank_of(d, q) : grid.rank_of(q, d),
                          std::move(pieces[static_cast<std::size_t>(q)]));
     }
+    if (term.sym) {
+        Profiler::Scope scope(Phase::Scatter);
+        // Group each destination's transposed entries by row (a stable
+        // counting sort, so columns stay ascending within a row).
+        for (int q = 0; q < comm.size(); ++q) {
+            auto& ts = flipped[static_cast<std::size_t>(q)];
+            if (ts.empty()) continue;
+            const index_t rows = cp.size(q / grid.cols());
+            sparse::counting_sort(ts, static_cast<std::size_t>(rows),
+                                  [](const Triple<V>& t) {
+                                      return static_cast<std::size_t>(t.row);
+                                  });
+            keep_or_send(q, Dcsr<V>::from_row_grouped(
+                                rows, sp.size(q % grid.cols()), ts));
+        }
+    }
 
     Profiler::Scope scope(Phase::ReduceScatter);
     const std::vector<par::Buffer> recv = comm.alltoallv(std::move(send));
     for (int s = 0; s < comm.size(); ++s) {
-        const auto& buf = recv[static_cast<std::size_t>(s)];
-        if (s == comm.rank())
-            absorb(own);
-        else if (!buf.empty())
-            absorb(Dcsr<V>::deserialize(buf));
+        if (s == comm.rank()) {
+            for (const auto& piece : own) absorb(piece);
+            continue;
+        }
+        par::BufferReader r(recv[static_cast<std::size_t>(s)]);
+        while (!r.exhausted()) absorb(Dcsr<V>::deserialize(r));
     }
 }
 
@@ -314,6 +390,57 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
                                       detail::local_options(opts));
         },
         detail::absorb_into<SR>(C));
+}
+
+/// Algorithm 1 for a symmetric product, where C holds only the canonical
+/// half of a symmetric n x n matrix (is_canonical; no diagonal): adds the
+/// canonical half of W + W^T, W = S U*, to it in one term of the
+/// right-update layout. S and U* must be symmetric n x n. Every W entry
+/// (u, v) off the diagonal is absorbed at its pair's canonical coordinate
+/// x. Returns this rank's share of sum(W(u, v) * S(x)) over those entries:
+/// summed over the ranks, the off-diagonal part of <W, S>. With A and A*
+/// symmetric and S = A + A*/2, C' - C = W + W^T for C = A^2 (Eq. 1), which
+/// is how graph::DynamicTriangleCounter pays for one term per update.
+/// Collective.
+template <sparse::Semiring SR, typename T = typename SR::value_type>
+T dynamic_spgemm_symmetric(DistDynamicMatrix<T>& C,
+                           const DistDynamicMatrix<T>& S,
+                           const DistDcsr<T>& Ustar,
+                           const DynamicSpgemmOptions& opts = {}) {
+    const DistShape& cs = C.shape();
+    T share = SR::zero();
+    // S's row u scattered densely while row u of a piece is absorbed: one
+    // array read per entry instead of a lookup into S.
+    std::vector<T> srow(static_cast<std::size_t>(cs.local_cols()), SR::zero());
+    detail::one_term<T>(
+        cs, Ustar, {.left = false, .sym = true},
+        // S_{i,j} · U*[K^c_j, N^c_b]
+        [&](const Dcsr<T>& slice, int b) {
+            return sparse::spgemm<SR>(cs.local_rows(), cs.block_cols(b),
+                                      sparse::as_left(S.local()),
+                                      sparse::as_right(slice),
+                                      detail::local_options(opts));
+        },
+        [&](const Dcsr<T>& piece) {
+            par::Profiler::Scope scope(par::Phase::LocalAddition);
+            for (std::size_t r = 0; r < piece.row_count(); ++r) {
+                const index_t u = piece.row_id(r);
+                const auto cols = piece.row_cols(r);
+                const auto vals = piece.row_values(r);
+                for (const auto& e : S.local().row(u))
+                    srow[static_cast<std::size_t>(e.col)] = e.value;
+                for (std::size_t k = 0; k < cols.size(); ++k) {
+                    C.local().add_or_erase(u, cols[k], vals[k], SR::add,
+                                           SR::zero());
+                    share = SR::add(
+                        share,
+                        SR::mul(vals[k], srow[static_cast<std::size_t>(cols[k])]));
+                }
+                for (const auto& e : S.local().row(u))
+                    srow[static_cast<std::size_t>(e.col)] = SR::zero();
+            }
+        });
+    return share;
 }
 
 /// Algorithm 1 with a transposed left operand (Section V-C), the term of a

@@ -3,8 +3,9 @@
 // and a dynamic (incrementally maintained) variant:
 //
 //  - triangle_count / DynamicTriangleCounter — exact triangle counting via
-//    masked SUMMA, maintained as C = A·A under signed batches that mix edge
-//    insertions and deletions (deletions are algebraic in the (+,*) ring);
+//    masked SUMMA, maintained as the canonical half of C = A·A under signed
+//    batches that mix edge insertions and deletions (deletions are
+//    algebraic in the (+,*) ring), one symmetric Algorithm 1 term each;
 //  - khop_distances / DynamicMultiSourceProduct — multi-source (min,+)
 //    shortest distances; the dynamic class maintains the one-hop product
 //    D = S·A under algebraic updates (insertions / weight decreases);
@@ -76,67 +77,51 @@ inline double triangle_count(const DistDynamicMatrix<double>& A,
 /// A batch is one signed update matrix A* = A' - A: in the (+,*) ring a
 /// removal is the algebraic update a* = -1 (Section V: "A* can simply be
 /// computed as A' - A in rings"), so inserts and removals travel together.
-/// The distributive expansion A'A' = AA + A A* + A* A' maintains C in two
-/// one-term calls of Algorithm 1: first the right-update term A A* with the
-/// pre-update A, then the update itself, then the left-update term A* A'
-/// with the post-update A. That avoids a second copy of A, and neither call
-/// runs an empty term. Algorithm 1 erases every C entry that cancels to
-/// zero as it absorbs, so neither matrix ever stores a zero.
+/// A and A* are symmetric, so C is too, and it is kept as its canonical half
+/// (core::is_canonical: one orientation of each unordered pair, no
+/// diagonal, which the count never reads). With W = (A + A*/2) A*, the
+/// distributive expansion of A'A' gives C' - C = W + W^T exactly, so one
+/// Algorithm 1 term per batch maintains C (core::dynamic_spgemm_symmetric):
+/// A <- A + A*/2, the term with that A as the stored operand, then
+/// A <- A + A*/2 again. Values stay multiples of 1/2, which a double holds
+/// exactly, and every entry of A or C that cancels to zero is erased, so
+/// neither matrix stores a zero.
 ///
 /// The count is kept incrementally: each rank holds its share of
-/// sum(C .* A) = 6 * triangles and moves it by three sums over its block
-/// of A*, so no step of a batch scans all of A or C.
+/// <C, A> = sum(C .* A) = 6 * triangles over the full symmetric C, and
+/// moves it by 6 * (change in triangles) = (s_before + s_after)/2 + 2t.
+/// Here s = <C, A*> is read before and after the term, two lookups into C
+/// per canonical entry of the rank's block of A*, and t is the term's own
+/// share of <W, A + A*/2>. No step of a batch scans all of A or C.
 class DynamicTriangleCounter {
 public:
     DynamicTriangleCounter(ProcessGrid& grid, sparse::index_t n,
                            par::ThreadPool* pool = nullptr)
         : a_(grid, n, n), c_(grid, n, n), pool_(pool) {}
 
-    /// Seeds the graph (collective). Edge tuples must contain both directions
-    /// of each undirected edge, value 1.0.
+    /// Seeds the graph (collective): update() with an all-insert batch. Edge
+    /// tuples must contain both directions of each undirected edge, value
+    /// 1.0.
     void initialize(std::vector<sparse::Triple<double>> edges) {
-        auto update = core::build_update_matrix(a_.shape().grid(),
-                                                a_.shape().nrows(),
-                                                a_.shape().ncols(),
-                                                std::move(edges));
-        core::add_update<sparse::PlusTimes<double>>(a_, update, pool_);
-        c_ = core::summa_multiply<sparse::PlusTimes<double>>(a_, a_,
-                                                             summa_opts());
-        share_ = c_weighted_by(a_.local());
+        update(std::move(edges));
     }
 
     /// Applies one batch of signed edge updates, both directions of each
     /// undirected edge: value +1 inserts an edge not yet in the graph, -1
-    /// removes one that is. Removed edges are erased from A before pass 2,
-    /// and C entries whose last two-hop path went away are erased by
-    /// Algorithm 1 itself: the work outside the two passes is O(nnz(A*)).
-    ///
-    /// The count share moves by s0 + s1 + s2, where s_k = sum(C .* A*) read
-    /// before pass 1, after pass 1 and after pass 2. For symmetric A and A*
-    /// they add up to tr((A + A*)^3) - tr(A^3). Collective.
+    /// removes one that is. C entries whose last two-hop path went away are
+    /// erased by Algorithm 1 as it absorbs, so the work outside the one
+    /// term is O(nnz(A*)). Collective.
     void update(std::vector<sparse::Triple<double>> edges) {
         ProcessGrid& grid = a_.shape().grid();
         const auto n = a_.shape().nrows();
         auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
         core::DynamicSpgemmOptions opts;
         opts.pool = pool_;
-        share_ += c_weighted_by(astar.local());
-        // Pass 1: C += A_old * A*, the term of a right update.
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(c_, a_, astar,
-                                                                  opts);
-        share_ += c_weighted_by(astar.local());
-        // Apply the update: A <- A + A*, then erase the removed edges so
-        // pass 2 does not multiply against them.
-        core::add_update<sparse::PlusTimes<double>>(a_, astar, pool_);
-        astar.local().for_each([&](sparse::index_t i, sparse::index_t j,
-                                   double) {
-            const double* v = a_.local().find(i, j);
-            if (v != nullptr && *v == 0.0) a_.local().erase(i, j);
-        });
-        // Pass 2: C += A* * A_new, the term of a left update.
-        core::dynamic_spgemm_algebraic<sparse::PlusTimes<double>>(c_, astar, a_,
-                                                                  opts);
-        share_ += c_weighted_by(astar.local());
+        share_ += 0.5 * c_dot(astar.local());  // s_before / 2
+        add_half(astar);                        // the stored operand A + A*/2
+        share_ += 2.0 * core::dynamic_spgemm_symmetric<SR>(c_, a_, astar, opts);
+        add_half(astar);                        // A' = A + A*
+        share_ += 0.5 * c_dot(astar.local());  // s_after / 2
     }
 
     /// Current triangle count: the ranks' shares of sum(C .* A), divided by
@@ -150,11 +135,17 @@ public:
     [[nodiscard]] const DistDynamicMatrix<double>& adjacency() const {
         return a_;
     }
+    /// The canonical half of C = A·A: entry (u, v) of A·A is stored at
+    /// (u, v) when core::is_canonical(u, v), and at (v, u) otherwise; the
+    /// diagonal is not kept.
     [[nodiscard]] const DistDynamicMatrix<double>& square() const { return c_; }
 
-    /// Rank-local checkpoint of A and C = A·A (src/persist/); pair with
-    /// load() on an identically constructed counter on the same grid. The
-    /// count share is not stored: load() rescans it from A and C.
+    /// Rank-local checkpoint of A and the canonical half of C = A·A
+    /// (src/persist/); pair with load() on an identically constructed
+    /// counter on the same grid. The count share is not stored: load()
+    /// rescans it from A and C. A checkpoint whose C holds a diagonal or
+    /// non-canonical entry (the full C an older build kept) is rejected
+    /// with std::runtime_error.
     void save(par::Buffer& out) const {
         a_.local().serialize(out);
         c_.local().serialize(out);
@@ -162,29 +153,45 @@ public:
     void load(par::BufferReader& in) {
         detail::restore_local_block(a_, in);
         detail::restore_local_block(c_, in);
-        share_ = c_weighted_by(a_.local());
+        const core::DistShape& cs = c_.shape();
+        c_.local().for_each([&](sparse::index_t i, sparse::index_t j, double) {
+            if (!core::is_canonical(cs.global_row(i), cs.global_col(j)))
+                throw std::runtime_error(
+                    "DynamicTriangleCounter::load: C holds a diagonal or "
+                    "non-canonical entry (was the checkpoint taken by a "
+                    "build that kept all of C?)");
+        });
+        share_ = c_dot(a_.local());
     }
 
 private:
-    core::SummaOptions summa_opts() const {
-        core::SummaOptions opts;
-        opts.pool = pool_;
-        return opts;
+    using SR = sparse::PlusTimes<double>;
+
+    /// A <- A + A*/2, erasing the entries that cancel. Local.
+    void add_half(const core::DistDcsr<double>& astar) {
+        par::Profiler::Scope scope(par::Phase::LocalAddition);
+        astar.local().for_each([&](sparse::index_t i, sparse::index_t j,
+                                   double v) {
+            a_.local().add_or_erase(i, j, 0.5 * v, SR::add, SR::zero());
+        });
     }
 
-    /// sum(C .* M) over this rank's block: one lookup into C per entry of
-    /// M, a local block of A or A* in C's distribution.
+    /// <C, M> over this rank's block for a symmetric M in C's distribution
+    /// (A or A*): twice the sum of C .* M over M's canonical entries, one
+    /// lookup into C each.
     template <typename Block>
-    double c_weighted_by(const Block& m) const {
+    double c_dot(const Block& m) const {
+        const core::DistShape& cs = c_.shape();
         double sum = 0.0;
         m.for_each([&](sparse::index_t i, sparse::index_t j, double v) {
+            if (!core::is_canonical(cs.global_row(i), cs.global_col(j))) return;
             if (const double* c = c_.local().find(i, j)) sum += *c * v;
         });
-        return sum;
+        return 2.0 * sum;
     }
 
     DistDynamicMatrix<double> a_;
-    DistDynamicMatrix<double> c_;
+    DistDynamicMatrix<double> c_;  // canonical half of A·A
     double share_ = 0.0;  // this rank's part of sum(C .* A) = 6 * triangles
     par::ThreadPool* pool_;
 };

@@ -328,11 +328,13 @@ TEST_P(CommVolumeP, TwoPhaseRedistribution) {
 }
 
 // One epoch of the live triangle count: normalization, the owner-side
-// membership round and the counter's signed update. Every rank ADDs absent
-// edges and MASKs present ones; rank 0 also ADDs and MASKs one fresh edge.
+// membership round and the counter's signed update, one symmetric term of
+// Algorithm 1 whose entries go to their canonical owners. Every rank ADDs
+// absent edges and MASKs present ones; rank 0 also ADDs and MASKs one fresh
+// edge.
 TEST_P(CommVolumeP, LiveTriangleEpoch) {
     expect_traffic(
-        {{0, 26536, 0, 6304, 0, 44}, {0, 62488, 0, 14208, 0, 66}},
+        {{0, 21576, 0, 3200, 0, 32}, {0, 55160, 0, 4896, 0, 48}},
         [](Comm& c, Fixture& fx) {
             analytics::LiveTriangleMaintainer maint(fx.grid, fx.n);
             maint.seed(fx.tuples(150));

@@ -5,7 +5,9 @@
 // batches.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
 #include <random>
 
 #include "common/grid_shapes.hpp"
@@ -193,6 +195,108 @@ TEST_P(DynSpgemmP, CancelledEntriesAreErasedNotStored) {
         for (const auto& t : C.gather_global())
             EXPECT_NE(t.value, 0.0) << "stored zero at (" << t.row << ", "
                                     << t.col << ")";
+    });
+}
+
+TEST_P(DynSpgemmP, SymmetricTermMatchesCanonicalHalf) {
+    // C holds the canonical half of A^2 for a symmetric A. One symmetric
+    // term with S = A + A*/2 and a mixed-sign symmetric A* (it deletes every
+    // third edge of A, re-weights some and inserts others) must leave
+    // exactly the canonical half of A'^2, A' = A + A*, because
+    // A'^2 - A^2 = W + W^T for W = S A*. Integer weights keep every sum
+    // exact, so the entries whose last two-hop path goes away sum to 0.0
+    // and must be erased.
+    const GridCase gc = GetParam();
+    dsg::test::run_case(gc, [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        std::mt19937_64 rng(800);
+        const index_t n = 30;
+        // Both directions of `count` random off-diagonal pairs, with
+        // integer weights in [lo, hi) (zeros dropped).
+        auto symmetric = [&](int count, double lo, double hi) {
+            CoordMap upper;
+            for (const auto& t : random_triples(rng, n, n, count, lo, hi))
+                if (t.row != t.col)
+                    upper[{std::min(t.row, t.col), std::max(t.row, t.col)}] =
+                        std::floor(t.value);
+            std::vector<Triple<double>> ts;
+            for (const auto& [uv, v] : upper) {
+                if (v == 0.0) continue;
+                ts.push_back({uv.first, uv.second, v});
+                ts.push_back({uv.second, uv.first, v});
+            }
+            return ts;
+        };
+        const auto ta = symmetric(60, 1.0, 4.0);
+        auto ua = symmetric(25, -3.0, 4.0);
+        for (std::size_t x = 0; x < ta.size(); x += 6) {  // pairs 0, 3, 6, ...
+            ua.push_back({ta[x].row, ta[x].col, -ta[x].value});
+            ua.push_back({ta[x].col, ta[x].row, -ta[x].value});
+        }
+        sparse::combine_duplicates<PlusTimes<double>>(ua);
+        std::erase_if(ua, [](const Triple<double>& t) { return t.value == 0.0; });
+        ASSERT_TRUE(std::any_of(ua.begin(), ua.end(),
+                                [](const auto& t) { return t.value > 0.0; }));
+
+        auto nonzero = [](CoordMap m) {
+            std::erase_if(m, [](const auto& e) { return e.second == 0.0; });
+            return m;
+        };
+        auto canonical_half = [](const CoordMap& m) {
+            CoordMap out;
+            for (const auto& [uv, v] : m)
+                if (core::is_canonical(uv.first, uv.second) && v != 0.0)
+                    out[uv] = v;
+            return out;
+        };
+        // Rank 0 feeds every matrix.
+        auto feed = [&](const CoordMap& m) {
+            std::vector<Triple<double>> ts;
+            if (c.rank() == 0)
+                for (const auto& [uv, v] : m) ts.push_back({uv.first, uv.second, v});
+            return ts;
+        };
+        const CoordMap am = as_map(ta);
+        std::vector<Triple<double>> half_ua;
+        for (const auto& t : ua) half_ua.push_back({t.row, t.col, 0.5 * t.value});
+        const CoordMap sm = nonzero(reference_add<PlusTimes<double>>(am, half_ua));
+        const CoordMap aprime = nonzero(reference_add<PlusTimes<double>>(am, ua));
+        const CoordMap before =
+            canonical_half(reference_multiply<PlusTimes<double>>(am, am));
+
+        auto C = build_dynamic_matrix<PlusTimes<double>>(grid, n, n, feed(before));
+        const auto S = build_dynamic_matrix<PlusTimes<double>>(grid, n, n, feed(sm));
+        const auto Astar = build_update_matrix(grid, n, n, feed(as_map(ua)));
+        const double share =
+            core::dynamic_spgemm_symmetric<PlusTimes<double>>(C, S, Astar);
+
+        const auto Aprime =
+            build_dynamic_matrix<PlusTimes<double>>(grid, n, n, feed(aprime));
+        const CoordMap expect = canonical_half(as_map(
+            summa_multiply<PlusTimes<double>>(Aprime, Aprime).gather_global()));
+        std::size_t emptied = 0;
+        for (const auto& [uv, v] : before) emptied += expect.count(uv) == 0 ? 1 : 0;
+        ASSERT_GT(emptied, 0u);
+        test::expect_matches_exactly(C, expect);
+        for (const auto& t : C.gather_global()) {
+            EXPECT_NE(t.row, t.col) << "diagonal entry at " << t.row;
+            EXPECT_NE(t.value, 0.0) << "stored zero at (" << t.row << ", "
+                                    << t.col << ")";
+        }
+
+        // Summed over the ranks, the shares are <W, S>, W = S A*.
+        double want = 0.0;
+        for (const auto& [uv, w] :
+             reference_multiply<PlusTimes<double>>(sm, as_map(ua)))
+            if (auto it = sm.find(uv); it != sm.end()) want += w * it->second;
+        EXPECT_EQ(c.allreduce<double>(share, std::plus<>{}), want);
+
+        // The checkerboard spreads C: on 2x2 every rank holds at least a
+        // sixth of it (the upper triangle would leave block (1, 0) empty).
+        const std::size_t total = C.global_nnz();
+        if (gc.rows == 2 && gc.cols == 2) {
+            EXPECT_GE(6 * C.local().nnz(), total);
+        }
     });
 }
 

@@ -315,6 +315,15 @@ TEST_P(AlgoP, DynamicContractionMatchesDirectComputation) {
 
 INSTANTIATE_TEST_SUITE_P(Worlds, AlgoP, ::testing::Values(1, 4, 6));
 
+/// The entries of a symmetric matrix's canonical half (core::is_canonical):
+/// what DynamicTriangleCounter keeps of C = A·A.
+dsg::test::CoordMap canonical_half(const std::vector<Triple<double>>& ts) {
+    dsg::test::CoordMap out;
+    for (const auto& t : ts)
+        if (core::is_canonical(t.row, t.col)) out[{t.row, t.col}] = t.value;
+    return out;
+}
+
 class TriangleCounterG : public ::testing::TestWithParam<dsg::test::GridCase> {};
 
 // Three batches that each insert and remove at once: A* holds +1 and -1
@@ -323,8 +332,9 @@ class TriangleCounterG : public ::testing::TestWithParam<dsg::test::GridCase> {}
 // Between the second and the third batch the counter round-trips through
 // save/load into a freshly constructed one, which rescans its count share.
 // After every batch the count must equal a brute-force count, the counter
-// must hold exactly the live edges, and C = A·A entry for entry with no
-// stored zeros.
+// must hold exactly the live edges, and C must equal the canonical half of
+// A·A entry for entry with no stored zeros. (A·A is symmetric, so that
+// half fixes every entry of it.)
 TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
     const dsg::test::GridCase gc = GetParam();
     dsg::test::run_case(gc, [&](Comm& c) {
@@ -414,8 +424,8 @@ TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
             EXPECT_EQ(counter.adjacency().global_nnz(), live.size());
             const auto& A = counter.adjacency();
             const auto C = core::summa_multiply<sparse::PlusTimes<double>>(A, A);
-            dsg::test::expect_matches_exactly(counter.square(),
-                                              dsg::test::as_map(C.gather_global()));
+            dsg::test::expect_matches_exactly(
+                counter.square(), canonical_half(C.gather_global()));
             for (const auto& t : counter.square().gather_global())
                 EXPECT_NE(t.value, 0.0) << "batch " << b << ": stored zero at ("
                                         << t.row << ", " << t.col << ")";
@@ -436,6 +446,31 @@ TEST_P(TriangleCounterG, MixedSignBatchMatchesRecomputation) {
         EXPECT_DOUBLE_EQ(restored.count(), counter.count());
         restored.update(share(next_batch(3)));
         expect_live(restored, 3);
+    });
+}
+
+// A checkpoint in the layout of a build that kept all of C = A·A (A's block,
+// then the full C block, as save() writes them) must be refused, not read
+// as a canonical half. The graph is dense enough that every rank's block of
+// the full C holds a non-canonical entry.
+TEST_P(TriangleCounterG, LoadRejectsCheckpointWithFullSquare) {
+    const dsg::test::GridCase gc = GetParam();
+    dsg::test::run_case(gc, [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        const index_t n = 24;
+        auto edges = graph::simplify(
+            graph::symmetrize(graph::erdos_renyi_edges(n, 150, 41)));
+        for (auto& e : edges) e.value = 1.0;
+        const auto A = core::build_dynamic_matrix<sparse::PlusTimes<double>>(
+            grid, n, n, c.rank() == 0 ? edges : std::vector<Triple<double>>{});
+        const auto C = core::summa_multiply<sparse::PlusTimes<double>>(A, A);
+
+        par::Buffer old;
+        A.local().serialize(old);
+        C.local().serialize(old);
+        DynamicTriangleCounter counter(grid, n);
+        par::BufferReader in(old);
+        EXPECT_THROW(counter.load(in), std::runtime_error);
     });
 }
 
