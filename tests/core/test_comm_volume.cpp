@@ -327,6 +327,40 @@ TEST_P(CommVolumeP, TwoPhaseRedistribution) {
                    });
 }
 
+// The symmetric term alone (dynamic_spgemm_symmetric), the kernel of the
+// live triangle count's epoch: S and U* symmetric, each rank contributing
+// both directions of its own pairs, and C empty (its contents change no
+// traffic).
+TEST_P(CommVolumeP, SymmetricTerm) {
+    expect_traffic(
+        {{0, 13008, 0, 1184, 0, 12}, {0, 41440, 0, 1824, 0, 18}},
+        [](Comm& c, Fixture& fx) {
+            using SR = PlusTimes<double>;
+            auto both = [](std::vector<Triple<double>> ts) {
+                const std::size_t m = ts.size();
+                for (std::size_t k = 0; k < m; ++k)
+                    ts.push_back({ts[k].col, ts[k].row, ts[k].value});
+                return ts;
+            };
+            auto pairs = fx.tuples(300);
+            std::erase_if(pairs, [](const auto& t) { return t.row == t.col; });
+            const auto S = core::build_dynamic_matrix<SR>(fx.grid, fx.n, fx.n,
+                                                          both(pairs));
+            // Pairs (r, c), c < r, with r congruent to this rank mod p, so
+            // no coordinate of U* comes from two ranks.
+            auto upd = random_triples(fx.rng, fx.n / fx.p, fx.n, 12);
+            for (auto& t : upd) t.row = t.row * fx.p + fx.rank;
+            std::erase_if(upd, [](const auto& t) { return t.col >= t.row; });
+            sparse::combine_duplicates<MinPlus<double>>(upd);
+            const auto Ustar =
+                core::build_update_matrix(fx.grid, fx.n, fx.n, both(upd));
+            DistDynamicMatrix<double> C(fx.grid, fx.n, fx.n);
+            return measure(c, [&] {
+                (void)core::dynamic_spgemm_symmetric<SR>(C, S, Ustar);
+            });
+        });
+}
+
 // One epoch of the live triangle count: normalization, the owner-side
 // membership round and the counter's signed update, one symmetric term of
 // Algorithm 1 whose entries go to their canonical owners. Every rank ADDs
