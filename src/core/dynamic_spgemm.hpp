@@ -24,7 +24,8 @@
 //     inner index is split over the other grid dimension (both untransposed
 //     terms), one alltoallv re-slabs it first; one allgather then assembles
 //     the slab. On a square grid this is the paper's transpose send/receive
-//     plus its per-round broadcasts.
+//     plus its per-round broadcasts. A symmetric update needs no re-slab:
+//     U*[:, K^r_i] = U*[K^r_i, :]^T, gathered along the process row.
 //  2. Multiply. The slab is cut along C's partition of its outer index (C's
 //     row blocks for A* B', column blocks for A B*), and each slice times
 //     the stored block is one partial. An empty slice multiplies nothing.
@@ -37,13 +38,13 @@
 //     columns on the stored operand's partition instead, which a
 //     rectangular grid does not align with C's; their entries are split by
 //     owner and sent over the world communicator. A symmetric product
-//     (dynamic_spgemm_symmetric) keeps one orientation of each unordered
-//     pair: an entry (u, v) goes to the owner of its canonical coordinate,
-//     (u, v) itself if is_canonical(u, v) and (v, u) otherwise, over the
-//     world communicator, and the diagonal is dropped. Each payload is a
-//     sequence of DCSR pieces (one, or for a symmetric product up to two:
-//     the entries kept in place, then the transposed ones), or a
-//     zero-length buffer.
+//     (dynamic_spgemm_symmetric, a left-update term) keeps one orientation
+//     of each unordered pair: an entry (u, v) goes to the owner of its
+//     canonical coordinate, (u, v) itself if is_canonical(u, v) and (v, u)
+//     otherwise, over the world communicator, and the diagonal is dropped.
+//     Each payload is a sequence of DCSR pieces (one, or for a symmetric
+//     product up to two: the entries kept in place, then the transposed
+//     ones), or a zero-length buffer.
 //  4. Absorb. The owner adds its own pieces and each incoming one into its
 //     block of C in rank order, so the sums formed in C do not depend on
 //     which message arrived first.
@@ -120,10 +121,11 @@ std::vector<Triple<T>> allgather_triples(par::Comm& comm,
 /// Step 1: the slab of an update block `local` (of a matrix with shape us)
 /// on this rank's inner block: inner index local to K^r_i if k_row, else to
 /// K^c_j; outer index global. The update's inner index is its row index if
-/// inner_row (the slab is then inner x outer), else its column index.
+/// inner_row (the slab is then inner x outer), else its column index. A
+/// symmetric update is gathered transposed instead of re-slabbed.
 template <typename T>
 Dcsr<T> update_slab(const DistShape& us, const Dcsr<T>& local, bool inner_row,
-                    bool k_row) {
+                    bool k_row, bool symmetric = false) {
     ProcessGrid& grid = us.grid();
     const index_t K = inner_row ? us.nrows() : us.ncols();
     const index_t outer = inner_row ? us.ncols() : us.nrows();
@@ -135,11 +137,12 @@ Dcsr<T> update_slab(const DistShape& us, const Dcsr<T>& local, bool inner_row,
     std::vector<Triple<T>> ts;
     ts.reserve(local.nnz());
     local.for_each([&](index_t u, index_t v, const T& x) {
-        ts.push_back({us.global_row(u), us.global_col(v), x});
+        const index_t r = us.global_row(u), c = us.global_col(v);
+        ts.push_back(symmetric ? Triple<T>{c, r, x} : Triple<T>{r, c, x});
     });
     // The inner index is split over the other grid dimension: re-slab it
     // onto kp along the communicator whose ranks are the inner blocks.
-    if (inner_row != k_row) {
+    if (inner_row != k_row && !symmetric) {
         par::Comm& kcomm = k_row ? grid.col_comm() : grid.row_comm();
         auto send = bucket_triples(ts, kcomm.size(), [&](const Triple<T>& t) {
             return kp.owner(inner(t));
@@ -151,17 +154,16 @@ Dcsr<T> update_slab(const DistShape& us, const Dcsr<T>& local, bool inner_row,
     ts = allgather_triples(k_row ? grid.row_comm() : grid.col_comm(),
                            std::move(ts));
     for (auto& t : ts) (inner_row ? t.row : t.col) -= kp.offset(kb);
-    return inner_row ? sparse::dcsr_from_unique_triples(kp.size(kb), outer,
-                                                        std::move(ts))
-                     : sparse::dcsr_from_unique_triples(outer, kp.size(kb),
-                                                        std::move(ts));
+    const index_t kn = kp.size(kb);
+    return sparse::dcsr_from_unique_triples(
+        inner_row ? kn : outer, inner_row ? outer : kn, std::move(ts));
 }
 
 /// The layout of one term of Eq. 1: whether the update is the left operand
 /// (A* B') or the right one (A B*), and which operands are stored
 /// transposed (Section V-C): A as inner x n (A^T B), B as m x inner (A B^T).
-/// sym: the output keeps only the canonical half of the term plus its
-/// transpose (right update, nothing transposed).
+/// sym: the update is symmetric, and the output keeps only the canonical
+/// half of the term plus its transpose (left update, nothing transposed).
 struct Term {
     bool left;
     bool a_t = false;
@@ -183,7 +185,7 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
     ProcessGrid& grid = out.grid();
     // inner_row: the update's inner index is its row index (else its
     // column). k_row: the stored operand's inner block is K^r_i (else K^c_j).
-    assert(!term.sym || (!term.left && !term.a_t && !term.b_t));
+    assert(!term.sym || (term.left && !term.a_t && !term.b_t));
     const bool inner_row = term.left ? term.a_t : !term.b_t;
     const bool k_row = term.left ? !term.b_t : term.a_t;
     // The stored block's other index follows C's own block: one partial is
@@ -204,7 +206,7 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
     Dcsr<T> slab;
     {
         Profiler::Scope scope(Phase::SendRecv);
-        slab = update_slab(U.shape(), U.local(), inner_row, k_row);
+        slab = update_slab(U.shape(), U.local(), inner_row, k_row, term.sym);
     }
 
     std::vector<par::Buffer> send(static_cast<std::size_t>(comm.size()));
@@ -242,35 +244,33 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
             continue;
         }
         if (term.sym) {
-            // Rows of the partial lie in C's row block i (partition cp),
-            // columns in column block d (partition sp). Canonical entries
-            // stay in block (i, d) and are built in place; every other
-            // off-diagonal entry (u, v) goes to the owner of (v, u).
-            const index_t r0 = cp.offset(grid.grid_row());
-            const index_t c0 = sp.offset(d);
+            // Rows lie in C's row block d (sp), columns in column block j
+            // (cp). Canonical entries stay in block (d, j), built in place;
+            // every other off-diagonal entry (u, v) goes to (v, u)'s owner.
+            const index_t r0 = sp.offset(d);
+            const index_t c0 = cp.offset(grid.grid_col());
             Dcsr<V> kept(part.nrows(), part.ncols());
             for (std::size_t r = 0; r < part.row_count(); ++r) {
                 const index_t u = part.row_id(r);
                 const index_t gu = r0 + u;
-                const int b = sp.owner(gu);  // (v, u)'s column block
+                const int b = cp.owner(gu);  // (v, u)'s column block
                 const auto cols = part.row_cols(r);
                 const auto vals = part.row_values(r);
-                bool begun = false;
+                kept.begin_row(u);
                 for (std::size_t k = 0; k < cols.size(); ++k) {
                     const index_t gv = c0 + cols[k];
                     if (is_canonical(gu, gv)) {
-                        if (!begun) kept.begin_row(u);
-                        begun = true;
                         kept.push_entry(cols[k], vals[k]);
                     } else if (gu != gv) {
-                        const int a = cp.owner(gv);
+                        const int a = sp.owner(gv);
                         flipped[static_cast<std::size_t>(grid.rank_of(a, b))]
-                            .push_back({gv - cp.offset(a), gu - sp.offset(b),
+                            .push_back({gv - sp.offset(a), gu - cp.offset(b),
                                         vals[k]});
                     }
                 }
+                kept.end_row();
             }
-            keep_or_send(grid.rank_of(grid.grid_row(), d), std::move(kept));
+            keep_or_send(grid.rank_of(d, grid.grid_col()), std::move(kept));
             continue;
         }
         // Split by the block q of C that owns each entry's other index; rows
@@ -302,13 +302,13 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
         for (int q = 0; q < comm.size(); ++q) {
             auto& ts = flipped[static_cast<std::size_t>(q)];
             if (ts.empty()) continue;
-            const index_t rows = cp.size(q / grid.cols());
+            const index_t rows = sp.size(q / grid.cols());
             sparse::counting_sort(ts, static_cast<std::size_t>(rows),
                                   [](const Triple<V>& t) {
                                       return static_cast<std::size_t>(t.row);
                                   });
             keep_or_send(q, Dcsr<V>::from_row_grouped(
-                                rows, sp.size(q % grid.cols()), ts));
+                                rows, cp.size(q % grid.cols()), ts));
         }
     }
 
@@ -394,14 +394,14 @@ void dynamic_spgemm_algebraic(DistDynamicMatrix<T>& C,
 
 /// Algorithm 1 for a symmetric product, where C holds only the canonical
 /// half of a symmetric n x n matrix (is_canonical; no diagonal): adds the
-/// canonical half of W + W^T, W = S U*, to it in one term of the
-/// right-update layout. S and U* must be symmetric n x n. Every W entry
-/// (u, v) off the diagonal is absorbed at its pair's canonical coordinate
-/// x. Returns this rank's share of sum(W(u, v) * S(x)) over those entries:
-/// summed over the ranks, the off-diagonal part of <W, S>. With A and A*
-/// symmetric and S = A + A*/2, C' - C = W + W^T for C = A^2 (Eq. 1), which
-/// is how graph::DynamicTriangleCounter pays for one term per update.
-/// Collective.
+/// canonical half of W + W^T, W = S U*, to it in one term. S and U* must be
+/// symmetric n x n, so the term computes W^T = U* S in the left-update
+/// layout, streaming U*'s slab against S's rows. Every W^T entry (u, v) off
+/// the diagonal is absorbed at its pair's canonical coordinate x. Returns
+/// this rank's share of sum(W^T(u, v) * S(x)) over those entries: summed
+/// over the ranks, the off-diagonal part of <W, S>. With A, A* symmetric and
+/// S = A + A*/2, C' - C = W + W^T for C = A^2 (Eq. 1): one term per update
+/// of graph::DynamicTriangleCounter. Collective.
 template <sparse::Semiring SR, typename T = typename SR::value_type>
 T dynamic_spgemm_symmetric(DistDynamicMatrix<T>& C,
                            const DistDynamicMatrix<T>& S,
@@ -413,12 +413,12 @@ T dynamic_spgemm_symmetric(DistDynamicMatrix<T>& C,
     // array read per entry instead of a lookup into S.
     std::vector<T> srow(static_cast<std::size_t>(cs.local_cols()), SR::zero());
     detail::one_term<T>(
-        cs, Ustar, {.left = false, .sym = true},
-        // S_{i,j} · U*[K^c_j, N^c_b]
-        [&](const Dcsr<T>& slice, int b) {
-            return sparse::spgemm<SR>(cs.local_rows(), cs.block_cols(b),
-                                      sparse::as_left(S.local()),
-                                      sparse::as_right(slice),
+        cs, Ustar, {.left = true, .sym = true},
+        // U*[N^r_a, K^r_i] · S_{i,j}
+        [&](const Dcsr<T>& slice, int a) {
+            return sparse::spgemm<SR>(cs.block_rows(a), cs.local_cols(),
+                                      sparse::as_left(slice),
+                                      sparse::as_right(S.local()),
                                       detail::local_options(opts));
         },
         [&](const Dcsr<T>& piece) {
@@ -474,15 +474,15 @@ template <sparse::Semiring SR, typename T = typename SR::value_type>
 void dynamic_spgemm_algebraic_transA(DistDynamicMatrix<T>& C,
                                      const DistDynamicMatrix<T>& A,
                                      const DistDcsr<T>& Bstar,
-                                     // spgemm_transposed_left has no pool
-                                     const DynamicSpgemmOptions& = {}) {
+                                     const DynamicSpgemmOptions& opts = {}) {
     const DistShape& cs = C.shape();
     detail::one_term<T>(
         cs, Bstar, {.left = false, .a_t = true},
         // (A_{i,j})^T · B*[K^r_i, M^c_b]
         [&](const Dcsr<T>& slice, int b) {
             return sparse::spgemm_transposed_left<SR>(
-                A.shape().local_cols(), cs.block_cols(b), A.local(), slice);
+                A.shape().local_cols(), cs.block_cols(b), A.local(), slice,
+                detail::local_options(opts));
         },
         detail::absorb_into<SR>(C));
 }

@@ -8,6 +8,14 @@
 //  - intra-rank parallelism across left rows via a ThreadPool, each thread
 //    owning a private sparse accumulator (Section VI-A).
 //
+// A left row with exactly one entry (k, a) yields row k of the right operand,
+// each entry mapped through term(a, b, k + inner_offset) and filtered by the
+// mask. Where the right operand's rows hold distinct columns (a DHB row,
+// DynRight), nothing in that row can combine, so it is emitted directly,
+// without the accumulator, in the same entries and order. CSR and DCSR rows
+// may repeat a column (an update slab keeps duplicate coordinates), so
+// CsrRight and DcsrRight always accumulate.
+//
 // The output is a DCSR with rows in ascending order; columns within a row are
 // unsorted (insertion order of the accumulator), consistent with the rest of
 // the library.
@@ -37,6 +45,9 @@ struct CsrLeft {
     [[nodiscard]] index_t row_id(std::size_t slot) const {
         return static_cast<index_t>(slot);
     }
+    [[nodiscard]] std::size_t row_size(std::size_t slot) const {
+        return m.row_cols(static_cast<index_t>(slot)).size();
+    }
     template <typename G>
     void entries(std::size_t slot, G&& g) const {
         const auto i = static_cast<index_t>(slot);
@@ -51,6 +62,9 @@ struct DcsrLeft {
     const Dcsr<T>& m;
     [[nodiscard]] std::size_t stream_count() const { return m.row_count(); }
     [[nodiscard]] index_t row_id(std::size_t slot) const { return m.row_id(slot); }
+    [[nodiscard]] std::size_t row_size(std::size_t slot) const {
+        return m.row_cols(slot).size();
+    }
     template <typename G>
     void entries(std::size_t slot, G&& g) const {
         auto cols = m.row_cols(slot);
@@ -68,6 +82,9 @@ struct DynLeft {
     [[nodiscard]] index_t row_id(std::size_t slot) const {
         return static_cast<index_t>(slot);
     }
+    [[nodiscard]] std::size_t row_size(std::size_t slot) const {
+        return m.row_size(static_cast<index_t>(slot));
+    }
     template <typename G>
     void entries(std::size_t slot, G&& g) const {
         for (const auto& e : m.row(static_cast<index_t>(slot))) g(e.col, e.value);
@@ -82,9 +99,11 @@ template <typename T>
 DynLeft<T> as_left(const DynamicMatrix<T>& m) { return {m}; }
 
 // -- right-operand adapters (row lookup) ----------------------------------------
+// distinct_cols: no row repeats a column (see the header).
 
 template <typename T>
 struct CsrRight {
+    static constexpr bool distinct_cols = false;
     const Csr<T>& m;
     template <typename G>
     void row(index_t k, G&& g) const {
@@ -96,6 +115,7 @@ struct CsrRight {
 
 template <typename T>
 struct DynRight {
+    static constexpr bool distinct_cols = true;
     const DynamicMatrix<T>& m;
     template <typename G>
     void row(index_t k, G&& g) const {
@@ -106,6 +126,7 @@ struct DynRight {
 /// Right access into a DCSR via a transient row-id hash (see dcsr.hpp).
 template <typename T>
 struct DcsrRight {
+    static constexpr bool distinct_cols = false;
     DcsrRowLookup<T> lookup;
     explicit DcsrRight(const Dcsr<T>& m) : lookup(m) {}
     template <typename G>
@@ -156,12 +177,22 @@ void spgemm_chunk(const Left& A, const Right& B, AddOp& add, TermFn& term,
                   std::size_t slot_begin, std::size_t slot_end, Dcsr<V>& out) {
     for (std::size_t s = slot_begin; s < slot_end; ++s) {
         const index_t i = A.row_id(s);
-        A.entries(s, [&](index_t k, const auto& a) {
-            B.row(k, [&](index_t j, const auto& b) {
-                if (opts.mask != nullptr && !opts.mask->contains(i, j)) return;
-                acc.add(j, term(a, b, k + opts.inner_offset), add);
+        // Streams every term of output row i, under the mask, into sink.
+        auto terms = [&](auto&& sink) {
+            A.entries(s, [&](index_t k, const auto& a) {
+                B.row(k, [&](index_t j, const auto& b) {
+                    if (opts.mask == nullptr || opts.mask->contains(i, j))
+                        sink(j, term(a, b, k + opts.inner_offset));
+                });
             });
-        });
+        };
+        if (Right::distinct_cols && A.row_size(s) == 1) {
+            out.begin_row(i);
+            terms([&](index_t j, const V& x) { out.push_entry(j, x); });
+            out.end_row();
+            continue;
+        }
+        terms([&](index_t j, const V& x) { acc.add(j, x, add); });
         if (acc.empty()) continue;
         out.begin_row(i);
         auto cols = acc.cols();

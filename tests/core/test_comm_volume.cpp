@@ -333,7 +333,7 @@ TEST_P(CommVolumeP, TwoPhaseRedistribution) {
 // traffic).
 TEST_P(CommVolumeP, SymmetricTerm) {
     expect_traffic(
-        {{0, 13008, 0, 1184, 0, 12}, {0, 41440, 0, 1824, 0, 18}},
+        {{0, 13328, 0, 1184, 0, 8}, {0, 34336, 0, 3648, 0, 12}},
         [](Comm& c, Fixture& fx) {
             using SR = PlusTimes<double>;
             auto both = [](std::vector<Triple<double>> ts) {
@@ -368,7 +368,7 @@ TEST_P(CommVolumeP, SymmetricTerm) {
 // edge.
 TEST_P(CommVolumeP, LiveTriangleEpoch) {
     expect_traffic(
-        {{0, 21576, 0, 3200, 0, 32}, {0, 55160, 0, 4896, 0, 48}},
+        {{0, 20696, 0, 3200, 0, 28}, {0, 42264, 0, 9552, 0, 42}},
         [](Comm& c, Fixture& fx) {
             analytics::LiveTriangleMaintainer maint(fx.grid, fx.n);
             maint.seed(fx.tuples(150));

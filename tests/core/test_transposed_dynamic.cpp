@@ -87,6 +87,9 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
     const GridCase gc = GetParam();
     dsg::test::run_case(gc, [&](Comm& c) {
         ProcessGrid grid = dsg::test::make_grid(c, gc);
+        par::ThreadPool pool(2);  // the multiply runs on the caller's pool
+        core::DynamicSpgemmOptions opts;
+        opts.pool = &pool;
         std::mt19937_64 rng(800);
         const index_t inner = 20, n = 16, m = 18;
         auto ta = random_triples(rng, inner, n, 100);
@@ -115,7 +118,8 @@ TEST_P(TransAP, UpdatesOfRightOperandMatchRecompute) {
             // C += A^T B*, the term of a right update: its partial rows follow
             // A's column partition, so every entry is routed to its owner.
             core::add_update<PlusTimes<double>>(B, Bstar);
-            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Bstar);
+            dynamic_spgemm_algebraic_transA<PlusTimes<double>>(C, A, Bstar,
+                                                               opts);
             bm = reference_add<PlusTimes<double>>(bm, upd);
             test::expect_matches(C, reference_transposed(am, bm));
         }

@@ -1,5 +1,7 @@
 // The local Gustavson kernel against a dense reference, over several
-// semirings, operand layouts, masks, Bloom production and thread counts.
+// semirings, operand layouts, masks, Bloom production and thread counts,
+// including hypersparse left operands whose one-entry rows skip the
+// accumulator.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -22,6 +24,20 @@ std::vector<Triple<double>> random_triples(std::mt19937_64& rng, index_t rows,
                       static_cast<index_t>(rng() % cols),
                       static_cast<double>(1 + rng() % 9)});
     combine_duplicates<PlusTimes<double>>(ts);
+    return ts;
+}
+
+/// A hypersparse operand, like an update slab: about one row in three holds
+/// one entry, and the last row holds two, so both paths of the kernel run.
+std::vector<Triple<double>> hypersparse_triples(std::mt19937_64& rng,
+                                                index_t rows, index_t cols) {
+    std::vector<Triple<double>> ts;
+    for (index_t i = 0; i + 1 < rows; ++i)
+        if (rng() % 3 == 0)
+            ts.push_back({i, static_cast<index_t>(rng() % cols),
+                          static_cast<double>(1 + rng() % 9)});
+    ts.push_back({rows - 1, 0, 2.0});
+    ts.push_back({rows - 1, cols - 1, 3.0});
     return ts;
 }
 
@@ -80,8 +96,11 @@ class SpgemmLayouts : public ::testing::TestWithParam<int> {};
 TEST_P(SpgemmLayouts, RandomizedMatchesDenseReference) {
     std::mt19937_64 rng(static_cast<std::uint64_t>(GetParam()) * 97 + 3);
     const index_t n = 24, k = 18, m = 30;
-    for (int trial = 0; trial < 10; ++trial) {
-        auto ta = random_triples(rng, n, k, 80);
+    // Each trial multiplies a left operand with about three entries per row,
+    // then a hypersparse one whose rows mostly hold one entry.
+    for (int trial = 0; trial < 20; ++trial) {
+        auto ta = trial % 2 == 0 ? random_triples(rng, n, k, 80)
+                                 : hypersparse_triples(rng, n, k);
         auto tb = random_triples(rng, k, m, 80);
         auto expect = dense_reference<PlusTimes<double>>(ta, tb);
 
@@ -219,21 +238,117 @@ class SpgemmThreads : public ::testing::TestWithParam<int> {};
 TEST_P(SpgemmThreads, ParallelMatchesSequential) {
     std::mt19937_64 rng(31);
     dsg::par::ThreadPool pool(GetParam());
+    SpgemmOptions opts;
+    opts.pool = &pool;
     for (int trial = 0; trial < 5; ++trial) {
         auto ta = random_triples(rng, 64, 48, 500);
         auto tb = random_triples(rng, 48, 64, 500);
         auto a = Dcsr<double>::from_row_grouped(64, 48, ta);
         auto b = Csr<double>::from_triples(48, 64, tb);
         auto seq = spgemm<PlusTimes<double>>(64, 64, as_left(a), as_right(b));
-        SpgemmOptions opts;
-        opts.pool = &pool;
         auto par =
             spgemm<PlusTimes<double>>(64, 64, as_left(a), as_right(b), opts);
         EXPECT_EQ(as_map(par), as_map(seq));
+
+        // A hypersparse left operand over a DHB right operand, where most
+        // rows skip the accumulator: the chunks concatenate to exactly the
+        // sequential output, entry order included.
+        auto h = Dcsr<double>::from_row_grouped(
+            64, 48, hypersparse_triples(rng, 64, 48));
+        DynamicMatrix<double> b_dyn(48, 64);
+        for (const auto& t : tb) b_dyn.insert_or_assign(t.row, t.col, t.value);
+        const auto hseq =
+            spgemm<PlusTimes<double>>(64, 64, as_left(h), as_right(b_dyn));
+        EXPECT_EQ(spgemm<PlusTimes<double>>(64, 64, as_left(h),
+                                            as_right(b_dyn), opts)
+                      .to_triples(),
+                  hseq.to_triples());
+        EXPECT_EQ(as_map(hseq), as_map(spgemm<PlusTimes<double>>(
+                                    64, 64, as_left(h), as_right(b))));
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, SpgemmThreads, ::testing::Values(2, 3, 8));
+
+TEST(LocalSpgemm, OneEntryLeftRowEmitsTheRightRowInOrder) {
+    // Row 2 of b outgrows the DHB index threshold, and an erase swaps its
+    // last entry forward, so row(2) is in neither column nor insertion
+    // order. Left row 1 is the one entry (1, 2) = 3; row 0's one entry
+    // meets an empty row of b and yields no output row; row 3 holds two.
+    DynamicMatrix<double> b(5, 20);
+    for (const index_t j : {7, 3, 15, 0, 11, 19, 4, 9, 1, 13, 6, 17})
+        b.insert_or_assign(2, j, 1.0 + static_cast<double>(j));
+    b.erase(2, 3);
+    b.insert_or_assign(4, 5, 2.0);
+    const auto a = Dcsr<double>::from_row_grouped(
+        4, 5,
+        std::vector<Triple<double>>{
+            {0, 3, 1.0}, {1, 2, 3.0}, {3, 2, 1.0}, {3, 4, 1.0}});
+    const auto row = b.row(2);
+    SpgemmOptions opts;
+    opts.inner_offset = 60;  // local k = 2 is global k = 62
+
+    // The first output row must be row 1: b's row 2 in row(2) order, each
+    // entry mapped by want(b value), the columns filtered by `keep`.
+    auto expect_row = [&](const auto& c, auto want, auto keep) {
+        ASSERT_GE(c.row_count(), 1u);
+        ASSERT_EQ(c.row_id(0), 1);
+        const auto cols = c.row_cols(0);
+        const auto vals = c.row_values(0);
+        std::size_t x = 0;
+        for (const auto& e : row) {
+            if (!keep(e.col)) continue;
+            ASSERT_LT(x, cols.size());
+            EXPECT_EQ(cols[x], e.col);
+            EXPECT_EQ(vals[x], want(e.value));
+            ++x;
+        }
+        EXPECT_EQ(x, cols.size());
+    };
+    const auto all = [](index_t) { return true; };
+    expect_row(spgemm<PlusTimes<double>>(4, 20, as_left(a), as_right(b), opts),
+               [](double v) { return 3.0 * v; }, all);
+    expect_row(spgemm_pattern(4, 20, as_left(a), as_right(b), opts),
+               [](double) { return bloom_bit(62); }, all);
+    const auto vb = spgemm_with_bloom<PlusTimes<double>>(4, 20, as_left(a),
+                                                         as_right(b), opts);
+    auto [values, bits] = split_value_bits(vb);
+    expect_row(values, [](double v) { return 3.0 * v; }, all);
+    expect_row(bits, [](double) { return bloom_bit(62); }, all);
+
+    // Under a mask only the masked entries of the row come out.
+    PairSet mask(20);
+    for (const index_t j : {0, 9, 13, 19}) mask.insert(1, j);
+    mask.insert(3, 5);
+    opts.mask = &mask;
+    const auto masked =
+        spgemm<PlusTimes<double>>(4, 20, as_left(a), as_right(b), opts);
+    expect_row(masked, [](double v) { return 3.0 * v; },
+               [&](index_t j) { return mask.contains(1, j); });
+    EXPECT_EQ(masked.nnz(), 5u);  // four of row 1, (3, 5) of row 3
+}
+
+TEST(LocalSpgemm, OneEntryLeftRowOverRepeatedColumnsCombines) {
+    // An update slab keeps duplicate coordinates, so a DCSR or CSR row may
+    // repeat a column: the one-entry row still yields one combined entry.
+    const std::vector<Triple<double>> tb{{1, 2, 1.0}, {1, 0, 5.0}, {1, 2, 4.0}};
+    const auto b_dcsr = Dcsr<double>::from_row_grouped(3, 4, tb);
+    const auto b_csr = Csr<double>::from_triples(3, 4, tb);
+    const auto a = Dcsr<double>::from_row_grouped(
+        2, 3, std::vector<Triple<double>>{{0, 1, 2.0}});
+    const std::map<std::pair<index_t, index_t>, double> expect{{{0, 0}, 10.0},
+                                                               {{0, 2}, 10.0}};
+    const auto via_dcsr =
+        spgemm<PlusTimes<double>>(2, 4, as_left(a), as_right(b_dcsr));
+    const auto via_csr =
+        spgemm<PlusTimes<double>>(2, 4, as_left(a), as_right(b_csr));
+    EXPECT_EQ(via_dcsr.nnz(), 2u);
+    EXPECT_EQ(via_csr.nnz(), 2u);
+    EXPECT_EQ(as_map(via_dcsr), expect);
+    EXPECT_EQ(as_map(via_csr), expect);
+    const auto bits = spgemm_pattern(2, 4, as_left(a), as_right(b_dcsr));
+    EXPECT_EQ(bits.nnz(), 2u);
+}
 
 TEST(LocalSpgemm, EmptyOperands) {
     Dcsr<double> a(10, 10);
