@@ -55,6 +55,12 @@
 // a structural zero, and the cancellations of a ring deletion (a* = -a,
 // Sec. V) cost O(nnz(C*)) rather than a prune over all of C.
 //
+// COMPUTEPATTERN (compute_pattern) runs the same four steps with a pattern
+// multiply (sparse::spgemm_pattern). Its absorb only collects the pieces,
+// in rank order for each of its terms; one k-way row merge
+// (sparse::dcsr_merge) then ORs them into this rank's DCSR block of C*,
+// which Algorithm 2 streams row by row.
+//
 // Communication volume is O((nnz(A*) + nnz(B*) + nnz(C*)) / sqrt(p)) versus
 // SUMMA's O((nnz(A) + nnz(B')) / sqrt(p)).
 #pragma once
@@ -175,8 +181,8 @@ struct Term {
 /// steps of the header. U is the term's update. mult(slice, d) multiplies
 /// slab slice d by this rank's stored block and returns the partial
 /// (Dcsr<V>): its outer index local to C's block d, its other index local
-/// to the stored block. absorb(piece) adds one piece, in C's local
-/// coordinates, into this rank's output block. Collective.
+/// to the stored block. absorb(piece) takes one piece (an rvalue), in C's
+/// local coordinates, into this rank's output block. Collective.
 template <typename V, typename T, typename Mult, typename Absorb>
 void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
               Mult&& mult, Absorb&& absorb) {
@@ -316,7 +322,7 @@ void one_term(const DistShape& out, const DistDcsr<T>& U, Term term,
     const std::vector<par::Buffer> recv = comm.alltoallv(std::move(send));
     for (int s = 0; s < comm.size(); ++s) {
         if (s == comm.rank()) {
-            for (const auto& piece : own) absorb(piece);
+            for (auto& piece : own) absorb(std::move(piece));
             continue;
         }
         par::BufferReader r(recv[static_cast<std::size_t>(s)]);
@@ -536,13 +542,14 @@ void dynamic_spgemm_algebraic_transB(DistDynamicMatrix<T>& C,
 
 namespace detail {
 
-/// ORs the COMPUTEPATTERN bits of one term of Eq. 1 into cstar: of A* B'
-/// (U = A*, S = B') if left, else of A B* (S = A, U = B*).
+/// `pieces` followed by the COMPUTEPATTERN pieces of one term of Eq. 1, in
+/// the rank order this rank absorbs them: of A* B' (U = A*, S = B') if
+/// left, else of A B* (S = A, U = B*). The output has shape cs.
 template <typename T>
-void pattern_term(DistDynamicMatrix<std::uint64_t>& cstar, bool left,
-                  const DistDcsr<T>& U, const DistDynamicMatrix<T>& S,
-                  const DynamicSpgemmOptions& opts) {
-    const DistShape& cs = cstar.shape();
+std::vector<Dcsr<std::uint64_t>> pattern_term(
+    std::vector<Dcsr<std::uint64_t>> pieces, const DistShape& cs, bool left,
+    const DistDcsr<T>& U, const DistDynamicMatrix<T>& S,
+    const DynamicSpgemmOptions& opts) {
     ProcessGrid& grid = cs.grid();
     // Global inner index of local column 0 of the left operand: the A* slab
     // slice lives in inner row block K^r_i, A_{i,j} in column block K^c_j.
@@ -562,14 +569,23 @@ void pattern_term(DistDynamicMatrix<std::uint64_t>& cstar, bool left,
                               sparse::as_left(S.local()),
                               sparse::as_right(slice), sopts);
         },
-        [&](const Dcsr<std::uint64_t>& piece) {
-            par::Profiler::Scope scope(par::Phase::LocalAddition);
-            piece.for_each([&](index_t u, index_t v, std::uint64_t bits) {
-                cstar.local().insert_or_add(
-                    u, v, bits,
-                    [](std::uint64_t a, std::uint64_t b) { return a | b; });
-            });
-        });
+        [&](Dcsr<std::uint64_t>&& piece) { pieces.push_back(std::move(piece)); });
+    return pieces;
+}
+
+/// The pattern of shape cs with every piece ORed in by one merge: rows
+/// ascending, each row's columns in first-seen order, no repeated column,
+/// and no zero word (every entry carries the bit of some inner index).
+inline DistDcsr<std::uint64_t> merge_pattern(
+    const DistShape& cs, const std::vector<Dcsr<std::uint64_t>>& pieces) {
+    par::Profiler::Scope scope(par::Phase::LocalAddition);
+    DistDcsr<std::uint64_t> cstar(cs.grid(), cs.nrows(), cs.ncols());
+    std::vector<const Dcsr<std::uint64_t>*> ptrs;
+    for (const auto& piece : pieces) ptrs.push_back(&piece);
+    cstar.local() = sparse::dcsr_merge<std::uint64_t>(
+        ptrs, cstar.shape().local_rows(), cstar.shape().local_cols(),
+        [](std::uint64_t a, std::uint64_t b) { return a | b; });
+    return cstar;
 }
 
 }  // namespace detail
@@ -577,41 +593,43 @@ void pattern_term(DistDynamicMatrix<std::uint64_t>& cstar, bool left,
 /// COMPUTEPATTERN (Section V-B) for the term of a left update: the sparsity
 /// structure of C* = A* B', with each entry carrying the F* Bloom bitfield
 /// (bit (k mod 64) set iff inner index k contributes). Numerical values of
-/// the operands are ignored. Returns the distributed pattern matrix.
-/// Collective.
+/// the operands are ignored. Returns the distributed pattern, one DCSR block
+/// per rank (detail::merge_pattern). Collective.
 template <typename T>
-DistDynamicMatrix<std::uint64_t> compute_pattern(
-    const DistDcsr<T>& Astar, const DistDynamicMatrix<T>& Bprime,
-    const DynamicSpgemmOptions& opts = {}) {
-    DistDynamicMatrix<std::uint64_t> cstar(
-        Bprime.shape().grid(), Astar.shape().nrows(), Bprime.shape().ncols());
-    detail::pattern_term(cstar, true, Astar, Bprime, opts);
-    return cstar;
+DistDcsr<std::uint64_t> compute_pattern(const DistDcsr<T>& Astar,
+                                        const DistDynamicMatrix<T>& Bprime,
+                                        const DynamicSpgemmOptions& opts = {}) {
+    const DistShape cs(Bprime.shape().grid(), Astar.shape().nrows(),
+                       Bprime.shape().ncols());
+    return detail::merge_pattern(
+        cs, detail::pattern_term({}, cs, true, Astar, Bprime, opts));
 }
 
 /// COMPUTEPATTERN for the term of a right update: C* = A B*. Collective.
 template <typename T>
-DistDynamicMatrix<std::uint64_t> compute_pattern(
-    const DistDynamicMatrix<T>& A, const DistDcsr<T>& Bstar,
-    const DynamicSpgemmOptions& opts = {}) {
-    DistDynamicMatrix<std::uint64_t> cstar(A.shape().grid(), A.shape().nrows(),
-                                           Bstar.shape().ncols());
-    detail::pattern_term(cstar, false, Bstar, A, opts);
-    return cstar;
+DistDcsr<std::uint64_t> compute_pattern(const DistDynamicMatrix<T>& A,
+                                        const DistDcsr<T>& Bstar,
+                                        const DynamicSpgemmOptions& opts = {}) {
+    const DistShape cs(A.shape().grid(), A.shape().nrows(),
+                       Bstar.shape().ncols());
+    return detail::merge_pattern(
+        cs, detail::pattern_term({}, cs, false, Bstar, A, opts));
 }
 
-/// COMPUTEPATTERN for both terms, C* = A* B' + A B*: the two one-term
-/// patterns ORed into one matrix. Collective.
+/// COMPUTEPATTERN for both terms, C* = A* B' + A B*: the pieces of both
+/// terms, left term first, ORed into one pattern by one merge. Collective.
 template <typename T>
-DistDynamicMatrix<std::uint64_t> compute_pattern(
-    const DistDynamicMatrix<T>& A, const DistDcsr<T>& Astar,
-    const DistDynamicMatrix<T>& Bprime, const DistDcsr<T>& Bstar,
-    const DynamicSpgemmOptions& opts = {}) {
-    DistDynamicMatrix<std::uint64_t> cstar(A.shape().grid(), A.shape().nrows(),
-                                           Bprime.shape().ncols());
-    detail::pattern_term(cstar, true, Astar, Bprime, opts);
-    detail::pattern_term(cstar, false, Bstar, A, opts);
-    return cstar;
+DistDcsr<std::uint64_t> compute_pattern(const DistDynamicMatrix<T>& A,
+                                        const DistDcsr<T>& Astar,
+                                        const DistDynamicMatrix<T>& Bprime,
+                                        const DistDcsr<T>& Bstar,
+                                        const DynamicSpgemmOptions& opts = {}) {
+    const DistShape cs(A.shape().grid(), A.shape().nrows(),
+                       Bprime.shape().ncols());
+    return detail::merge_pattern(
+        cs, detail::pattern_term(
+                detail::pattern_term({}, cs, true, Astar, Bprime, opts), cs,
+                false, Bstar, A, opts));
 }
 
 }  // namespace dsg::core

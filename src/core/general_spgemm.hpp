@@ -3,10 +3,11 @@
 // General updates (e.g. value increases under (min,+), deletions in
 // non-rings) cannot be folded into C via semiring addition; the affected
 // entries of C must be *recomputed* from A' and B'. The affected set is the
-// pattern of C* = A* B' + A B* (computed structurally by COMPUTEPATTERN).
-// Recomputation is a masked SpGEMM, and the Bloom filter matrix F — bit
-// (k mod 64) of f_{uv} records that inner index k contributed to c_{uv} —
-// lets each rank send only the rows *and columns* of A' that can contribute:
+// pattern of C* = A* B' + A B* (computed structurally by COMPUTEPATTERN,
+// which hands it over as one DCSR block per rank). Recomputation is a masked
+// SpGEMM, and the Bloom filter matrix F — bit (k mod 64) of f_{uv} records
+// that inner index k contributed to c_{uv} — lets each rank send only the
+// rows *and columns* of A' that can contribute:
 //
 //   E   = (F | F*) masked at C*            (locally)
 //   R_u = OR over v of e_{uv}              (or-reduce along the grid row)
@@ -18,10 +19,18 @@
 //   row a: broadcast the C*_{a,j} mask down the column; masked local multiply
 //   Z,H = A^R[N^r_a, K^r_i] B'_{i,j} masked at C*_{a,j}, a partial owned by
 //   (a,j). After the last round one all-to-all down the process column sends
-//   every partial straight to its owner, which folds its own and the
-//   incoming ones (Z by semiring add, H by bitwise or); finally merge Z into
-//   C and H into F at mask positions — entries of the mask that received no
-//   value become structural zeros.
+//   every partial straight to its owner, which folds its own and then the
+//   incoming ones by source rank in one k-way row merge (Z by semiring add,
+//   H by bitwise or); finally merge Z into C and H into F at mask positions
+//   — entries of the mask that received no value become structural zeros.
+//
+// C* is streamed, never hashed. Row u's filter word marks u's C* columns in
+// a dense byte row and scans F's row u once. The mask is broadcast as C*'s
+// serialized block, and the masked multiply walks it in step with its left
+// rows (sparse::SpgemmOptions::mask). The final merge walks C*'s rows and
+// Z's in step (Z's rows are a subset), marks Z's columns, assigns C and F
+// from Z and erases every other mask coordinate. One all-reduce of
+// GeneralSpgemmStats fills the diagnostics.
 //
 // The Bloom filter trades false positives (superfluous columns kept) for
 // communication volume; it never loses a contribution (tested property).
@@ -29,7 +38,9 @@
 // so it overlaps compute.
 #pragma once
 
+#include <cassert>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/dist_matrix.hpp"
@@ -64,7 +75,7 @@ template <sparse::Semiring SR, typename T = typename SR::value_type>
 GeneralSpgemmStats general_dynamic_spgemm(
     DistDynamicMatrix<T>& C, DistDynamicMatrix<std::uint64_t>& F,
     const DistDynamicMatrix<T>& Aprime, const DistDynamicMatrix<T>& Bprime,
-    const DistDynamicMatrix<std::uint64_t>& Cstar,
+    const DistDcsr<std::uint64_t>& Cstar,
     const GeneralSpgemmOptions& opts = {}) {
     using par::Phase;
     using par::Profiler;
@@ -75,6 +86,13 @@ GeneralSpgemmStats general_dynamic_spgemm(
     const BlockPartition kr = grid.row_partition(Aprime.shape().ncols());
     const BlockPartition kc = grid.col_partition(Aprime.shape().ncols());
     const auto& rp = C.shape().row_partition();
+    const Dcsr<std::uint64_t>& mask = Cstar.local();
+    // One byte per local column: set while a row's columns are marked.
+    std::vector<std::uint8_t> marked(
+        static_cast<std::size_t>(C.shape().local_cols()), 0);
+    auto mark = [&](std::span<const index_t> cols, std::uint8_t on) {
+        for (const index_t v : cols) marked[static_cast<std::size_t>(v)] = on;
+    };
 
     // E = (F | F*) masked at C*, reduced over the grid row into the
     // row-filter vector R (one 64-bit word per local row of this block row).
@@ -82,11 +100,17 @@ GeneralSpgemmStats general_dynamic_spgemm(
         static_cast<std::size_t>(C.shape().local_rows()), 0);
     {
         Profiler::Scope scope(Phase::LocalMult);
-        Cstar.local().for_each([&](index_t u, index_t v, std::uint64_t fstar) {
-            const std::uint64_t* f = F.local().find(u, v);
-            r_vec[static_cast<std::size_t>(u)] |=
-                fstar | (f != nullptr ? *f : 0);
-        });
+        for (std::size_t r = 0; r < mask.row_count(); ++r) {
+            const index_t u = mask.row_id(r);
+            std::uint64_t bits = 0;
+            for (const std::uint64_t fstar : mask.row_values(r)) bits |= fstar;
+            mark(mask.row_cols(r), 1);
+            for (const auto& e : F.local().row(u))
+                if (marked[static_cast<std::size_t>(e.col)] != 0)
+                    bits |= e.value;
+            mark(mask.row_cols(r), 0);
+            r_vec[static_cast<std::size_t>(u)] = bits;
+        }
     }
     grid.row_comm().allreduce_or(r_vec);
 
@@ -111,14 +135,14 @@ GeneralSpgemmStats general_dynamic_spgemm(
         }
     }
 
-    GeneralSpgemmStats stats;
-    auto sum = [](std::uint64_t a, std::uint64_t b) { return a + b; };
-    stats.aprime_nnz_global = grid.world().template allreduce<std::uint64_t>(
-        Aprime.local().nnz(), sum);
-    stats.ar_nnz_global =
-        grid.world().template allreduce<std::uint64_t>(ar.nnz(), sum);
-    stats.cstar_nnz_global = grid.world().template allreduce<std::uint64_t>(
-        Cstar.local().nnz(), sum);
+    const GeneralSpgemmStats stats = grid.world().allreduce(
+        GeneralSpgemmStats{Aprime.local().nnz(), ar.nnz(), mask.nnz()},
+        [](const GeneralSpgemmStats& x, const GeneralSpgemmStats& y) {
+            return GeneralSpgemmStats{
+                x.aprime_nnz_global + y.aprime_nnz_global,
+                x.ar_nnz_global + y.ar_nnz_global,
+                x.cstar_nnz_global + y.cstar_nnz_global};
+        });
 
     // Re-slab A^R onto the inner row partition: this rank ends up with
     // A^R[:, K^r_i] in full (the slab of Algorithm 1's left-update term;
@@ -129,20 +153,14 @@ GeneralSpgemmStats general_dynamic_spgemm(
         ar_slab = detail::update_slab(Aprime.shape(), ar, /*inner_row=*/false,
                                       /*k_row=*/true);
     }
-    par::Buffer mask_snapshot;
-    {
-        Profiler::Scope scope(Phase::LocalConstruct);
-        mask_snapshot = Cstar.local().to_dcsr().serialize();
-    }
 
     // One round per grid row a: mask C*_{a,j} comes down the process column;
     // the A^R rows for output block a are already local in the slab. Round
     // a+1's mask is posted before round a's multiply.
     auto post_mask = [&](int a) {
         Profiler::Scope scope(Phase::Bcast);
-        par::Buffer mbuf;
-        if (i == a) mbuf = mask_snapshot;  // copy: broadcast consumes it
-        return grid.col_comm().ibcast(a, std::move(mbuf));
+        return grid.col_comm().ibcast(
+            a, i == a ? mask.serialize() : par::Buffer{});
     };
     std::optional<par::Comm::PendingBcast> inflight;
     if (rows > 0) inflight.emplace(post_mask(0));
@@ -151,7 +169,7 @@ GeneralSpgemmStats general_dynamic_spgemm(
     // queues the others for one exchange after the last round (an empty
     // partial as a zero-length buffer).
     std::vector<par::Buffer> z_send(static_cast<std::size_t>(rows));
-    Dcsr<VB> z_mine(C.shape().local_rows(), C.shape().local_cols());
+    std::vector<Dcsr<VB>> z_parts;  // its own, then the incoming by source
     for (int a = 0; a < rows; ++a) {
         Dcsr<std::uint64_t> cstar_aj;
         {
@@ -164,12 +182,9 @@ GeneralSpgemmStats general_dynamic_spgemm(
         Dcsr<VB> z_part;
         {
             Profiler::Scope scope(Phase::LocalMult);
-            // Each rank rebuilds the mask hash locally: faster than
-            // broadcasting the hash table itself (Section VI-B).
-            const sparse::PairSet mask = sparse::dcsr_pattern(cstar_aj);
             sparse::SpgemmOptions sopts;
             sopts.pool = opts.pool;
-            sopts.mask = &mask;
+            sopts.mask = &cstar_aj;
             sopts.inner_offset = kr.offset(i);
             auto ar_slice = sparse::dcsr_row_block(ar_slab, rp.offset(a),
                                                    rp.offset(a + 1));
@@ -179,39 +194,50 @@ GeneralSpgemmStats general_dynamic_spgemm(
         }
         Profiler::Scope scope(Phase::ReduceScatter);
         if (a == i)
-            z_mine = std::move(z_part);
+            z_parts.push_back(std::move(z_part));
         else if (z_part.nnz() > 0)
             z_send[static_cast<std::size_t>(a)] = z_part.serialize();
     }
+    Dcsr<VB> z;
     {
         Profiler::Scope scope(Phase::ReduceScatter);
-        const auto z_recv = grid.col_comm().alltoallv(std::move(z_send));
-        for (const auto& buf : z_recv) {
-            if (buf.empty()) continue;  // own slot, or an empty partial
-            z_mine = sparse::dcsr_add(
-                z_mine, Dcsr<VB>::deserialize(buf),
-                [](const VB& x, const VB& y) {
-                    return VB{SR::add(x.value, y.value), x.bits | y.bits};
-                });
-        }
+        for (const auto& buf : grid.col_comm().alltoallv(std::move(z_send)))
+            if (!buf.empty())  // empty: the own slot, or an empty partial
+                z_parts.push_back(Dcsr<VB>::deserialize(buf));
+        std::vector<const Dcsr<VB>*> ptrs;
+        for (const auto& part : z_parts) ptrs.push_back(&part);
+        z = sparse::dcsr_merge<VB>(
+            ptrs, C.shape().local_rows(), C.shape().local_cols(),
+            [](const VB& x, const VB& y) {
+                return VB{SR::add(x.value, y.value), x.bits | y.bits};
+            });
     }
 
     // Final local merge, masked at C*: recomputed entries replace C and F;
     // mask positions with no surviving value become structural zeros.
     {
         Profiler::Scope scope(Phase::LocalAddition);
-        sparse::PairSet alive(C.shape().local_cols(), z_mine.nnz());
-        z_mine.for_each([&](index_t u, index_t v, const VB& vb) {
-            C.local().insert_or_assign(u, v, vb.value);
-            F.local().insert_or_assign(u, v, vb.bits);
-            alive.insert(u, v);
-        });
-        Cstar.local().for_each([&](index_t u, index_t v, std::uint64_t) {
-            if (!alive.contains(u, v)) {
+        std::size_t zr = 0;
+        for (std::size_t r = 0; r < mask.row_count(); ++r) {
+            const index_t u = mask.row_id(r);
+            std::span<const index_t> zcols;
+            if (zr < z.row_count() && z.row_id(zr) == u) {
+                zcols = z.row_cols(zr);
+                const auto zvals = z.row_values(zr++);
+                for (std::size_t k = 0; k < zcols.size(); ++k) {
+                    C.local().insert_or_assign(u, zcols[k], zvals[k].value);
+                    F.local().insert_or_assign(u, zcols[k], zvals[k].bits);
+                }
+            }
+            mark(zcols, 1);
+            for (const index_t v : mask.row_cols(r)) {
+                if (marked[static_cast<std::size_t>(v)] != 0) continue;
                 C.local().erase(u, v);
                 F.local().erase(u, v);
             }
-        });
+            mark(zcols, 0);
+        }
+        assert(zr == z.row_count());  // Z lies inside the mask
     }
     return stats;
 }

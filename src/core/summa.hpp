@@ -40,9 +40,10 @@ struct SummaOptions {
     /// When set, also accumulates the Bloom filter matrix F: bit (k mod 64)
     /// of f_{ij} is set iff term a_{ik} b_{kj} contributed to c_{ij}.
     DistDynamicMatrix<std::uint64_t>* bloom_out = nullptr;
-    /// When set, only entries present in the mask's local blocks are
-    /// produced (masked SpGEMM).
-    const sparse::PairSet* local_mask = nullptr;
+    /// When set, only the coordinates stored in this DCSR are produced
+    /// (masked SpGEMM): this rank's mask block, in C's local coordinates
+    /// and of C's local shape; its values are ignored.
+    const sparse::Dcsr<std::uint64_t>* local_mask = nullptr;
 };
 
 namespace detail {

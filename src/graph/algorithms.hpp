@@ -56,9 +56,13 @@ inline void restore_local_block(DistDynamicMatrix<double>& m,
 /// under the mask are ever formed. Collective.
 inline double triangle_count(const DistDynamicMatrix<double>& A,
                              par::ThreadPool* pool = nullptr) {
-    sparse::PairSet mask(A.shape().local_cols(), A.local().nnz());
-    A.local().for_each(
-        [&](sparse::index_t i, sparse::index_t j, double) { mask.insert(i, j); });
+    // The mask is A's block itself; only its coordinates matter.
+    sparse::Dcsr<std::uint64_t> mask(A.local().nrows(), A.local().ncols());
+    for (sparse::index_t i = 0; i < mask.nrows(); ++i) {
+        mask.begin_row(i);
+        for (const auto& e : A.local().row(i)) mask.push_entry(e.col, 0);
+        mask.end_row();
+    }
     core::SummaOptions opts;
     opts.local_mask = &mask;
     opts.pool = pool;

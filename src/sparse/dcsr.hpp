@@ -79,6 +79,7 @@ public:
     [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
 
     [[nodiscard]] index_t row_id(std::size_t r) const { return rows_[r]; }
+    [[nodiscard]] std::span<const index_t> row_ids() const { return rows_; }
     [[nodiscard]] std::span<const index_t> row_cols(std::size_t r) const {
         return {colidx_.data() + rowptr_[r], rowptr_[r + 1] - rowptr_[r]};
     }

@@ -1,65 +1,76 @@
 // Element-wise and structural operations on DCSR matrices: the merge step of
 // the sparse reductions (Section VI-A), transposition (Section V-C), the
 // row/column block slices that feed the rectangular-grid SUMMA and slab
-// exchanges, and the value/bits splitting helpers of the Bloom machinery.
+// exchanges, and the value/bits splitting helper of the Bloom machinery.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
+#include <span>
 #include <tuple>
 #include <utility>
 #include <vector>
 
 #include "sparse/dcsr.hpp"
-#include "sparse/flat_map.hpp"
 #include "sparse/local_spgemm.hpp"
-#include "sparse/spa.hpp"
 #include "sparse/types.hpp"
 
 namespace dsg::sparse {
 
-/// C = A (+) B element-wise with add(old, new); structural union. Both inputs
-/// and the output are DCSR with ascending rows (columns unsorted). This is
-/// the combine function of the sparse reductions (Section VI-A).
+/// The union of DCSR pieces of one nrows x ncols shape, in one k-way row
+/// merge: rows ascending; the columns of a row in first-seen order, taking
+/// the pieces in the order given; the values of one column folded as
+/// add(old, new) in that order. A dense slot per column marks the columns
+/// of the current row. This is the combine function of the sparse
+/// reductions (Section VI-A). O(total nnz + ncols + output rows * pieces).
+template <typename V, typename AddOp>
+Dcsr<V> dcsr_merge(std::span<const Dcsr<V>* const> pieces, index_t nrows,
+                   index_t ncols, AddOp&& add) {
+    constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+    Dcsr<V> out(nrows, ncols);
+    std::vector<std::uint32_t> slot(static_cast<std::size_t>(ncols), kAbsent);
+    std::vector<index_t> cols;
+    std::vector<V> vals;
+    std::vector<std::size_t> next(pieces.size(), 0);  // row cursor per piece
+    for (;;) {
+        index_t row = nrows;  // the smallest row id ahead of any cursor
+        for (std::size_t p = 0; p < pieces.size(); ++p)
+            if (next[p] < pieces[p]->row_count())
+                row = std::min(row, pieces[p]->row_id(next[p]));
+        if (row == nrows) return out;
+        for (std::size_t p = 0; p < pieces.size(); ++p) {
+            const Dcsr<V>& m = *pieces[p];
+            if (next[p] == m.row_count() || m.row_id(next[p]) != row) continue;
+            const auto pc = m.row_cols(next[p]);
+            const auto pv = m.row_values(next[p]);
+            ++next[p];
+            for (std::size_t x = 0; x < pc.size(); ++x) {
+                auto& s = slot[static_cast<std::size_t>(pc[x])];
+                if (s != kAbsent) {
+                    vals[s] = add(vals[s], pv[x]);
+                    continue;
+                }
+                s = static_cast<std::uint32_t>(cols.size());
+                cols.push_back(pc[x]);
+                vals.push_back(pv[x]);
+            }
+        }
+        out.begin_row(row);
+        for (std::size_t x = 0; x < cols.size(); ++x) {
+            out.push_entry(cols[x], vals[x]);
+            slot[static_cast<std::size_t>(cols[x])] = kAbsent;
+        }
+        out.end_row();
+        cols.clear();
+        vals.clear();
+    }
+}
+
+/// C = A (+) B element-wise with add(old, new): the two-piece dcsr_merge.
 template <typename V, typename AddOp>
 Dcsr<V> dcsr_add(const Dcsr<V>& a, const Dcsr<V>& b, AddOp&& add) {
-    Dcsr<V> out(a.nrows(), a.ncols());
-    SparseAccumulator<V> acc;
-    std::size_t ra = 0;
-    std::size_t rb = 0;
-    auto emit_plain = [&](const Dcsr<V>& m, std::size_t r) {
-        out.begin_row(m.row_id(r));
-        auto cols = m.row_cols(r);
-        auto vals = m.row_values(r);
-        for (std::size_t x = 0; x < cols.size(); ++x)
-            out.push_entry(cols[x], vals[x]);
-    };
-    while (ra < a.row_count() || rb < b.row_count()) {
-        if (rb == b.row_count() ||
-            (ra < a.row_count() && a.row_id(ra) < b.row_id(rb))) {
-            emit_plain(a, ra++);
-        } else if (ra == a.row_count() || b.row_id(rb) < a.row_id(ra)) {
-            emit_plain(b, rb++);
-        } else {
-            // Shared row: combine through an accumulator.
-            auto push = [&](const Dcsr<V>& m, std::size_t r) {
-                auto cols = m.row_cols(r);
-                auto vals = m.row_values(r);
-                for (std::size_t x = 0; x < cols.size(); ++x)
-                    acc.add(cols[x], vals[x], add);
-            };
-            push(a, ra);
-            push(b, rb);
-            out.begin_row(a.row_id(ra));
-            auto cols = acc.cols();
-            auto vals = acc.values();
-            for (std::size_t x = 0; x < cols.size(); ++x)
-                out.push_entry(cols[x], vals[x]);
-            acc.reset();
-            ++ra;
-            ++rb;
-        }
-    }
-    return out;
+    const Dcsr<V>* both[] = {&a, &b};
+    return dcsr_merge<V>(both, a.nrows(), a.ncols(), std::forward<AddOp>(add));
 }
 
 /// Transpose via counting sort by column; O(nnz + ncols). Used to
@@ -145,14 +156,6 @@ std::pair<Dcsr<T>, Dcsr<std::uint64_t>> split_value_bits(
         }
     }
     return {std::move(values), std::move(bits)};
-}
-
-/// The set of coordinates of a DCSR, as a PairSet keyed within the block.
-template <typename V>
-PairSet dcsr_pattern(const Dcsr<V>& m) {
-    PairSet set(m.ncols(), m.nnz());
-    m.for_each([&](index_t i, index_t j, const V&) { set.insert(i, j); });
-    return set;
 }
 
 }  // namespace dsg::sparse

@@ -1,8 +1,9 @@
 // Open-addressing hash structures used across the library:
 //  - FlatMap: index_t -> V; the per-row column index of DynamicMatrix (the
 //    DHB design of Section IV), sparse-accumulator index, DCSR row lookup.
-//  - PairSet: hash set over (row, col) pairs; the output mask of the masked
-//    local multiplication in Algorithm 2 (Section VI-B).
+//  - PairSet: hash set over (row, col) pairs within a block, a FlatMap
+//    keyed by row * ncols + col. No kernel uses it: masks are DCSR blocks
+//    (sparse::SpgemmOptions::mask).
 //
 // Linear probing with tombstones; capacity is a power of two and grows when
 // (size + tombstones) exceeds 3/4 of capacity. Keys must be non-negative

@@ -4,7 +4,8 @@
 //  - the accumulation (semiring add) and the per-term value (semiring mul,
 //    or the Bloom bit 1 << (k mod 64) for the pattern computation of
 //    Algorithm 2, or both at once);
-//  - an optional output mask (the C* mask of the general algorithm);
+//  - an optional output mask (the C* mask of the general algorithm), a DCSR
+//    in the output's coordinates whose values are ignored;
 //  - intra-rank parallelism across left rows via a ThreadPool, each thread
 //    owning a private sparse accumulator (Section VI-A).
 //
@@ -16,11 +17,20 @@
 // may repeat a column (an update slab keeps duplicate coordinates), so
 // CsrRight and DcsrRight always accumulate.
 //
+// Every left adapter yields its rows in ascending order, so the kernel walks
+// the mask in step with them; a pooled chunk finds its first mask row by
+// binary search. A left row absent from the mask is skipped without touching
+// the right operand. A present row stamps its mask columns into a
+// per-thread array, and each term checks the stamp. Without a mask the loop
+// is compiled without any of this (NoMask).
+//
 // The output is a DCSR with rows in ascending order; columns within a row are
 // unsorted (insertion order of the accumulator), consistent with the rest of
 // the library.
 #pragma once
 
+#include <algorithm>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -150,9 +160,10 @@ DcsrRight<T> as_right(const Dcsr<T>& m) { return DcsrRight<T>(m); }
 // -- kernel ----------------------------------------------------------------------
 
 struct SpgemmOptions {
-    /// Output mask: only (i, j) contained in the mask are produced
-    /// (Algorithm 2's "masked at C*"). Keys are (output row, output col).
-    const PairSet* mask = nullptr;
+    /// Output mask: only (i, j) stored in the mask are produced (Algorithm
+    /// 2's "masked at C*"), whatever their values. Its shape must be the
+    /// output's (std::invalid_argument otherwise).
+    const Dcsr<std::uint64_t>* mask = nullptr;
     /// Added to the left operand's (local) column index to obtain the global
     /// inner-dimension index k used for Bloom bits.
     index_t inner_offset = 0;
@@ -170,18 +181,45 @@ struct ValueBits {
 
 namespace detail {
 
+/// No output mask: every row and column passes, at compile time.
+struct NoMask {
+    static constexpr bool enter(index_t) { return true; }
+    static constexpr bool admits(index_t) { return true; }
+};
+
+/// The output mask, walked in step with ascending left rows from mask row
+/// position `cur` (see the header).
+struct MaskWalk {
+    const Dcsr<std::uint64_t>& m;
+    std::uint32_t* stamp;  // one per output column
+    std::size_t cur;
+    std::uint32_t mark = 0;
+
+    /// Moves to output row i; false if the mask holds no entry in it.
+    bool enter(index_t i) {
+        while (cur < m.row_count() && m.row_id(cur) < i) ++cur;
+        if (cur == m.row_count() || m.row_id(cur) != i) return false;
+        mark = static_cast<std::uint32_t>(cur + 1);  // unique per mask row
+        for (const index_t j : m.row_cols(cur)) stamp[j] = mark;
+        return true;
+    }
+    [[nodiscard]] bool admits(index_t j) const { return stamp[j] == mark; }
+};
+
 template <typename V, typename AddOp, typename TermFn, typename Left,
-          typename Right>
+          typename Right, typename Mask>
 void spgemm_chunk(const Left& A, const Right& B, AddOp& add, TermFn& term,
                   const SpgemmOptions& opts, SparseAccumulator<V>& acc,
-                  std::size_t slot_begin, std::size_t slot_end, Dcsr<V>& out) {
+                  std::size_t slot_begin, std::size_t slot_end, Dcsr<V>& out,
+                  Mask mask) {
     for (std::size_t s = slot_begin; s < slot_end; ++s) {
         const index_t i = A.row_id(s);
+        if (!mask.enter(i)) continue;
         // Streams every term of output row i, under the mask, into sink.
         auto terms = [&](auto&& sink) {
             A.entries(s, [&](index_t k, const auto& a) {
                 B.row(k, [&](index_t j, const auto& b) {
-                    if (opts.mask == nullptr || opts.mask->contains(i, j))
+                    if (mask.admits(j))
                         sink(j, term(a, b, k + opts.inner_offset));
                 });
             });
@@ -212,11 +250,32 @@ template <typename V, typename AddOp, typename TermFn, typename Left,
 Dcsr<V> spgemm_generic(index_t out_nrows, index_t out_ncols, const Left& A,
                        const Right& B, AddOp add, TermFn term,
                        const SpgemmOptions& opts = {}) {
+    const Dcsr<std::uint64_t>* mask = opts.mask;
+    if (mask != nullptr &&
+        (mask->nrows() != out_nrows || mask->ncols() != out_ncols))
+        throw std::invalid_argument("spgemm: mask shape differs from output");
     const std::size_t n = A.stream_count();
+    // Slots [b, e) on one thread's accumulator and mask stamps; a chunk
+    // finds its first mask row by binary search.
+    auto run = [&](SparseAccumulator<V>& acc, std::vector<std::uint32_t>& stamp,
+                   std::size_t b, std::size_t e, Dcsr<V>& out) {
+        if (mask == nullptr)
+            return detail::spgemm_chunk(A, B, add, term, opts, acc, b, e, out,
+                                        detail::NoMask{});
+        if (b >= e) return;  // a pooled chunk past the last slot
+        stamp.resize(static_cast<std::size_t>(out_ncols));
+        const auto ids = mask->row_ids();
+        const auto first = std::lower_bound(ids.begin(), ids.end(), A.row_id(b));
+        detail::spgemm_chunk(
+            A, B, add, term, opts, acc, b, e, out,
+            detail::MaskWalk{*mask, stamp.data(),
+                             static_cast<std::size_t>(first - ids.begin())});
+    };
     if (opts.pool == nullptr || opts.pool->thread_count() == 1 || n < 2) {
         Dcsr<V> out(out_nrows, out_ncols);
         SparseAccumulator<V> acc;
-        detail::spgemm_chunk(A, B, add, term, opts, acc, 0, n, out);
+        std::vector<std::uint32_t> stamp;
+        run(acc, stamp, 0, n, out);
         return out;
     }
     // Fixed contiguous chunks so per-chunk outputs concatenate in row order.
@@ -226,13 +285,14 @@ Dcsr<V> spgemm_generic(index_t out_nrows, index_t out_ncols, const Left& A,
     const std::size_t chunk = (n + nchunks - 1) / nchunks;
     std::vector<Dcsr<V>> parts(nchunks);
     std::vector<SparseAccumulator<V>> accs(static_cast<std::size_t>(threads));
+    std::vector<std::vector<std::uint32_t>> stamps(accs.size());
     opts.pool->parallel_for(nchunks, [&](int t, std::size_t cb, std::size_t ce) {
         for (std::size_t c = cb; c < ce; ++c) {
             const std::size_t b = c * chunk;
             const std::size_t e = std::min(b + chunk, n);
             Dcsr<V> part(out_nrows, out_ncols);
-            detail::spgemm_chunk(A, B, add, term, opts,
-                                 accs[static_cast<std::size_t>(t)], b, e, part);
+            run(accs[static_cast<std::size_t>(t)],
+                stamps[static_cast<std::size_t>(t)], b, e, part);
             parts[c] = std::move(part);
         }
     });

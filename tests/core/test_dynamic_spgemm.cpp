@@ -9,6 +9,7 @@
 #include <cmath>
 #include <functional>
 #include <random>
+#include <set>
 
 #include "common/grid_shapes.hpp"
 #include "core/dynamic_spgemm.hpp"
@@ -365,14 +366,38 @@ TEST_P(DynSpgemmP, PatternIsSupersetWithCorrectBloomBits) {
         sparse::combine_duplicates<PlusTimes<double>>(upd);
         auto Astar = build_update_matrix(grid, n, n, feed(upd));
 
-        // Every cell of the product lm * rm is in the pattern with the bit of
-        // each contributing inner index, and every pattern entry is explained
-        // by some product.
-        auto expect_pattern = [&](const DistDynamicMatrix<std::uint64_t>& P,
+        // Each rank's block is a DCSR whose rows strictly ascend, with no
+        // row repeating a column and no zero word. Every cell of the
+        // product lm * rm is in the pattern with the bit of each
+        // contributing inner index, and every pattern entry is explained by
+        // some product.
+        auto expect_pattern = [&](const core::DistDcsr<std::uint64_t>& P,
                                   const CoordMap& lm, const CoordMap& rm) {
+            const auto& blk = P.local();
+            std::vector<Triple<std::uint64_t>> mine;
+            for (std::size_t r = 0; r < blk.row_count(); ++r) {
+                if (r > 0) {
+                    EXPECT_LT(blk.row_id(r - 1), blk.row_id(r));
+                }
+                const auto cols = blk.row_cols(r);
+                const auto words = blk.row_values(r);
+                std::set<index_t> seen;
+                for (std::size_t k = 0; k < cols.size(); ++k) {
+                    EXPECT_TRUE(seen.insert(cols[k]).second)
+                        << "row " << blk.row_id(r) << " repeats a column";
+                    EXPECT_NE(words[k], 0u);
+                    mine.push_back({P.shape().global_row(blk.row_id(r)),
+                                    P.shape().global_col(cols[k]), words[k]});
+                }
+            }
+            par::Buffer buf;
+            par::BufferWriter(buf).write_vector(mine);
             std::map<std::pair<index_t, index_t>, std::uint64_t> pat;
-            for (const auto& t : P.gather_global())
-                pat[{t.row, t.col}] = t.value;
+            for (const auto& b : grid.world().allgather(std::move(buf))) {
+                par::BufferReader r(b);
+                for (const auto& t : r.read_vector<Triple<std::uint64_t>>())
+                    pat[{t.row, t.col}] = t.value;
+            }
             for (const auto& [ca, va] : lm)
                 for (const auto& [cb, vb] : rm) {
                     if (ca.second != cb.first) continue;

@@ -38,10 +38,12 @@ using dsg::test::GridCase;
 /// One general-update round: updates A via MERGE (new values) and MASK
 /// (deletions), maintains C and F with Algorithm 2, checks against the
 /// reference model. B stays static (as in the paper's Fig. 10 experiment),
-/// but the machinery exercises the full pattern computation.
+/// but the machinery exercises the full pattern computation. A pool, if
+/// given, runs every local multiply of the pattern and of Algorithm 2.
 template <typename SR>
 void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
-                        int rounds, bool use_bloom) {
+                        int rounds, bool use_bloom,
+                        par::ThreadPool* pool = nullptr) {
     ProcessGrid grid = dsg::test::make_grid(c, gc);
     std::mt19937_64 rng(seed);
     const index_t n = 20;
@@ -81,7 +83,7 @@ void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
         DistDcsr<double> Bstar(grid, n, n);
 
         // Pattern first (uses pre-update A), then apply the updates to A.
-        auto Cstar = compute_pattern(A, Astar, B, Bstar);
+        auto Cstar = compute_pattern(A, Astar, B, Bstar, {.pool = pool});
         auto Umerge = build_update_matrix(grid, n, n, feed(merges));
         auto Udel = build_update_matrix(grid, n, n, feed(deletes));
         core::merge_update(A, Umerge);
@@ -91,6 +93,7 @@ void run_general_rounds(Comm& c, const GridCase& gc, std::uint64_t seed,
 
         GeneralSpgemmOptions gopts;
         gopts.use_bloom_filter = use_bloom;
+        gopts.pool = pool;
         auto stats = general_dynamic_spgemm<SR>(C, F, A, B, Cstar, gopts);
         EXPECT_LE(stats.ar_nnz_global, stats.aprime_nnz_global);
 
@@ -117,6 +120,9 @@ TEST_P(GeneralP, MinPlusGeneralUpdatesMatchRecompute) {
     const GridCase gc = GetParam();
     dsg::test::run_case(gc, [&](Comm& c) {
         run_general_rounds<MinPlus<double>>(c, gc, 900, 3, true);
+        // Once more on a 2-thread pool per rank: pooled masked multiplies.
+        par::ThreadPool pool(2);
+        run_general_rounds<MinPlus<double>>(c, gc, 906, 3, true, &pool);
     });
 }
 

@@ -129,10 +129,14 @@ TEST_P(SummaP, MaskedSummaRestrictsToMask) {
         sparse::combine_duplicates<PlusTimes<double>>(ta);
         auto A = build_dynamic_matrix<PlusTimes<double>>(
             grid, 24, 24, c.rank() == 0 ? ta : std::vector<Triple<double>>{});
-        // Mask = pattern of A itself (the triangle-counting shape A.*(A*A)).
-        sparse::PairSet mask(A.shape().local_cols(), A.local().nnz());
-        A.local().for_each(
-            [&](index_t i, index_t j, double) { mask.insert(i, j); });
+        // Mask = pattern of A itself (the triangle-counting shape A.*(A*A)),
+        // as a DCSR of this rank's block.
+        sparse::Dcsr<std::uint64_t> mask(A.local().nrows(), A.local().ncols());
+        for (index_t i = 0; i < mask.nrows(); ++i) {
+            mask.begin_row(i);
+            for (const auto& e : A.local().row(i)) mask.push_entry(e.col, 1);
+            mask.end_row();
+        }
         SummaOptions opts;
         opts.local_mask = &mask;
         auto C = summa_multiply<PlusTimes<double>>(A, A, opts);

@@ -202,13 +202,24 @@ TEST(DcsrOps, TransposeRoundTrip) {
 }
 
 TEST(DcsrOps, PatternContainsExactlyTheCoordinates) {
-    std::vector<Triple<int>> ts{{0, 1, 5}, {2, 2, 0}};
-    auto m = Dcsr<int>::from_row_grouped(3, 3, ts);
-    auto set = dsg::sparse::dcsr_pattern(m);
-    EXPECT_TRUE(set.contains(0, 1));
-    EXPECT_TRUE(set.contains(2, 2));  // numerical zero is structurally present
-    EXPECT_FALSE(set.contains(1, 1));
-    EXPECT_EQ(set.size(), 2u);
+    // A DCSR mask admits exactly its stored coordinates, whatever their
+    // words: a stored zero still admits its coordinate. Here A is the
+    // identity and B all ones, so A B reaches every coordinate.
+    std::vector<Triple<std::uint64_t>> ts{{0, 1, 5}, {2, 2, 0}};
+    const auto mask = Dcsr<std::uint64_t>::from_row_grouped(3, 3, ts);
+    std::vector<Triple<double>> id, ones;
+    for (index_t i = 0; i < 3; ++i) {
+        id.push_back({i, i, 1.0});
+        for (index_t j = 0; j < 3; ++j) ones.push_back({i, j, 1.0});
+    }
+    const auto a = Dcsr<double>::from_row_grouped(3, 3, id);
+    const auto b = Csr<double>::from_triples(3, 3, ones);
+    dsg::sparse::SpgemmOptions opts;
+    opts.mask = &mask;
+    const auto c = dsg::sparse::spgemm<dsg::sparse::PlusTimes<double>>(
+        3, 3, dsg::sparse::as_left(a), dsg::sparse::as_right(b), opts);
+    EXPECT_EQ(as_map(c.to_triples()),
+              (as_map<double>({{0, 1, 1.0}, {2, 2, 1.0}})));
 }
 
 }  // namespace

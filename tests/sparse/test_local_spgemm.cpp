@@ -6,6 +6,8 @@
 
 #include <map>
 #include <random>
+#include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "sparse/coo.hpp"
@@ -56,6 +58,14 @@ std::map<std::pair<index_t, index_t>, double> dense_reference(
             if (!fresh) it->second = SR::add(it->second, term);
         }
     return out;
+}
+
+/// A DCSR mask of the given coordinates, each stored with a nonzero word.
+Dcsr<std::uint64_t> mask_of(index_t rows, index_t cols,
+                            const std::set<std::pair<index_t, index_t>>& at) {
+    std::vector<Triple<std::uint64_t>> ts;
+    for (const auto& [i, j] : at) ts.push_back({i, j, 1});
+    return Dcsr<std::uint64_t>::from_row_grouped(rows, cols, ts);
 }
 
 template <typename V>
@@ -166,17 +176,27 @@ TEST(LocalSpgemm, MaskRestrictsOutput) {
     auto b = Csr<double>::from_triples(15, 15, tb);
 
     auto full = dense_reference<PlusTimes<double>>(ta, tb);
-    PairSet mask(15);
-    // Keep roughly half of the would-be outputs.
+    // Keep roughly half of the would-be outputs, except in one left row
+    // whose products the mask leaves out entirely.
+    const index_t absent = full.begin()->first.first;
+    std::set<std::pair<index_t, index_t>> at;
     std::map<std::pair<index_t, index_t>, double> expect;
     bool keep = true;
     for (const auto& [coord, v] : full) {
-        if (keep) {
-            mask.insert(coord.first, coord.second);
+        if (keep && coord.first != absent) {
+            at.insert(coord);
             expect[coord] = v;
         }
         keep = !keep;
     }
+    ASSERT_FALSE(expect.empty());
+    // A mask column that no product reaches yields nothing.
+    const index_t row = expect.begin()->first.first;
+    index_t unreached = 0;
+    while (full.count({row, unreached}) != 0) ++unreached;
+    ASSERT_LT(unreached, 15);
+    at.insert({row, unreached});
+    const auto mask = mask_of(15, 15, at);
     SpgemmOptions opts;
     opts.mask = &mask;
     auto c = spgemm<PlusTimes<double>>(15, 15, as_left(a), as_right(b), opts);
@@ -188,11 +208,27 @@ TEST(LocalSpgemm, EmptyMaskYieldsEmptyResult) {
         3, 3, std::vector<Triple<double>>{{0, 0, 1}});
     auto b = Csr<double>::from_triples(3, 3,
                                        std::vector<Triple<double>>{{0, 0, 1}});
-    PairSet mask(3);
+    const Dcsr<std::uint64_t> mask(3, 3);
     SpgemmOptions opts;
     opts.mask = &mask;
     auto c = spgemm<PlusTimes<double>>(3, 3, as_left(a), as_right(b), opts);
     EXPECT_EQ(c.nnz(), 0u);
+}
+
+TEST(LocalSpgemm, MaskOfAnotherShapeThrows) {
+    auto a = Dcsr<double>::from_row_grouped(
+        3, 3, std::vector<Triple<double>>{{0, 0, 1}});
+    auto b = Csr<double>::from_triples(3, 3,
+                                       std::vector<Triple<double>>{{0, 0, 1}});
+    const Dcsr<std::uint64_t> wide(3, 4);
+    const Dcsr<std::uint64_t> tall(4, 3);
+    SpgemmOptions opts;
+    for (const auto* mask : {&wide, &tall}) {
+        opts.mask = mask;
+        EXPECT_THROW((void)spgemm<PlusTimes<double>>(3, 3, as_left(a),
+                                                     as_right(b), opts),
+                     std::invalid_argument);
+    }
 }
 
 TEST(LocalSpgemm, PatternBitsIdentifyContributingInnerIndices) {
@@ -265,6 +301,32 @@ TEST_P(SpgemmThreads, ParallelMatchesSequential) {
                   hseq.to_triples());
         EXPECT_EQ(as_map(hseq), as_map(spgemm<PlusTimes<double>>(
                                     64, 64, as_left(h), as_right(b))));
+
+        // Masked, over a CSR left operand (slot = row): mask rows are the
+        // rows i with i % 5 < 3, so the pool's chunks start both on a mask
+        // row and between mask rows. The chunks concatenate to exactly the
+        // sequential output, which is the reference under the mask.
+        const auto a_csr = Csr<double>::from_triples(64, 48, ta);
+        const auto full = dense_reference<PlusTimes<double>>(ta, tb);
+        std::set<std::pair<index_t, index_t>> at;
+        std::map<std::pair<index_t, index_t>, double> expect;
+        for (const auto& [coord, v] : full) {
+            if (coord.first % 5 >= 3 || rng() % 2 == 0) continue;
+            at.insert(coord);
+            expect[coord] = v;
+        }
+        const auto mask = mask_of(64, 64, at);
+        SpgemmOptions mseq;
+        mseq.mask = &mask;
+        SpgemmOptions mpar = mseq;
+        mpar.pool = &pool;
+        const auto mres = spgemm<PlusTimes<double>>(
+            64, 64, as_left(a_csr), as_right(b_dyn), mseq);
+        EXPECT_EQ(as_map(mres), expect);
+        EXPECT_EQ(spgemm<PlusTimes<double>>(64, 64, as_left(a_csr),
+                                            as_right(b_dyn), mpar)
+                      .to_triples(),
+                  mres.to_triples());
     }
 }
 
@@ -317,14 +379,14 @@ TEST(LocalSpgemm, OneEntryLeftRowEmitsTheRightRowInOrder) {
     expect_row(bits, [](double) { return bloom_bit(62); }, all);
 
     // Under a mask only the masked entries of the row come out.
-    PairSet mask(20);
-    for (const index_t j : {0, 9, 13, 19}) mask.insert(1, j);
-    mask.insert(3, 5);
+    const std::set<std::pair<index_t, index_t>> at{
+        {1, 0}, {1, 9}, {1, 13}, {1, 19}, {3, 5}};
+    const auto mask = mask_of(4, 20, at);
     opts.mask = &mask;
     const auto masked =
         spgemm<PlusTimes<double>>(4, 20, as_left(a), as_right(b), opts);
     expect_row(masked, [](double v) { return 3.0 * v; },
-               [&](index_t j) { return mask.contains(1, j); });
+               [&](index_t j) { return at.count({1, j}) != 0; });
     EXPECT_EQ(masked.nnz(), 5u);  // four of row 1, (3, 5) of row 3
 }
 
