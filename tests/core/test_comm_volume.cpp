@@ -6,12 +6,14 @@
 // Every call must also leave no posted collective unwaited.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <ostream>
 #include <random>
 #include <set>
 #include <utility>
 
 #include "analytics/graph_maintainers.hpp"
+#include "analytics/maintainer.hpp"
 #include "common/grid_shapes.hpp"
 #include "core/dynamic_spgemm.hpp"
 #include "core/general_spgemm.hpp"
@@ -19,6 +21,7 @@
 #include "core/summa.hpp"
 #include "core/update_ops.hpp"
 #include "dist_test_utils.hpp"
+#include "stream/epoch_engine.hpp"
 
 namespace {
 
@@ -105,6 +108,21 @@ struct Fixture {
         return core::build_update_matrix(grid, n, n, std::move(ts));
     }
 };
+
+/// An engine configuration whose next pump() applies everything pushed so
+/// far as one epoch: the deadline has always passed.
+stream::EngineConfig one_pump_epochs() {
+    stream::EngineConfig cfg;
+    cfg.epoch_batch = 4096;
+    cfg.epoch_deadline = std::chrono::milliseconds(0);
+    return cfg;
+}
+
+template <typename Engine>
+void push_ops(Engine& engine, stream::OpKind kind,
+              const std::vector<Triple<double>>& ts) {
+    for (const auto& t : ts) ASSERT_TRUE(engine.queue().push({kind, t}));
+}
 
 class CommVolumeP : public ::testing::TestWithParam<GridCase> {
 protected:
@@ -363,39 +381,89 @@ TEST_P(CommVolumeP, SymmetricTerm) {
         });
 }
 
+/// The ops of one live-triangle epoch, after seeding `maint` with
+/// fx.tuples(150): every rank ADDs absent edges and MASKs present ones; rank
+/// 0 also ADDs and MASKs one fresh edge.
+struct TriangleEpochOps {
+    std::vector<Triple<double>> adds, masks;
+};
+
+TriangleEpochOps triangle_epoch_ops(Fixture& fx,
+                                    analytics::LiveTriangleMaintainer& maint) {
+    maint.seed(fx.tuples(150));
+    std::set<std::pair<index_t, index_t>> present;  // both directions
+    for (const auto& t : maint.counter().adjacency().gather_global())
+        present.insert({t.row, t.col});
+    auto absent_edge = [&] {
+        for (;;) {
+            const auto i = static_cast<index_t>(fx.rng() % fx.n);
+            const auto j = static_cast<index_t>(fx.rng() % fx.n);
+            if (i != j && !present.count({i, j})) return Triple<double>{i, j, 1.0};
+        }
+    };
+    TriangleEpochOps ops;
+    for (int k = 0; k < 8; ++k) ops.adds.push_back(absent_edge());
+    index_t x = 0;  // this rank MASKs its share of the live edges
+    for (const auto& [i, j] : present)
+        if (i < j && x++ % fx.p == fx.rank && ops.masks.size() < 8)
+            ops.masks.push_back({j, i, 0.0});
+    if (fx.rank == 0) {
+        const auto e = absent_edge();
+        ops.adds.push_back(e);
+        ops.masks.push_back(e);
+    }
+    return ops;
+}
+
 // One epoch of the live triangle count: normalization, the owner-side
 // membership round and the counter's signed update, one symmetric term of
-// Algorithm 1 whose entries go to their canonical owners. Every rank ADDs
-// absent edges and MASKs present ones; rank 0 also ADDs and MASKs one fresh
-// edge.
+// Algorithm 1 whose entries go to their canonical owners.
 TEST_P(CommVolumeP, LiveTriangleEpoch) {
     expect_traffic(
         {{0, 20696, 0, 3200, 0, 28}, {0, 42264, 0, 9552, 0, 42}},
         [](Comm& c, Fixture& fx) {
             analytics::LiveTriangleMaintainer maint(fx.grid, fx.n);
-            maint.seed(fx.tuples(150));
-            std::set<std::pair<index_t, index_t>> present;  // both directions
-            for (const auto& t : maint.counter().adjacency().gather_global())
-                present.insert({t.row, t.col});
-            auto absent_edge = [&] {
-                for (;;) {
-                    const auto i = static_cast<index_t>(fx.rng() % fx.n);
-                    const auto j = static_cast<index_t>(fx.rng() % fx.n);
-                    if (i != j && !present.count({i, j})) return Triple<double>{i, j, 1.0};
-                }
-            };
+            auto ops = triangle_epoch_ops(fx, maint);
             stream::EpochDelta<double> delta;
-            for (int k = 0; k < 8; ++k) delta.adds.push_back(absent_edge());
-            index_t x = 0;  // this rank MASKs its share of the live edges
-            for (const auto& [i, j] : present)
-                if (i < j && x++ % fx.p == fx.rank && delta.masks.size() < 8)
-                    delta.masks.push_back({j, i, 0.0});
-            if (fx.rank == 0) {
-                const auto e = absent_edge();
-                delta.adds.push_back(e);
-                delta.masks.push_back(e);
-            }
+            delta.adds = std::move(ops.adds);
+            delta.masks = std::move(ops.masks);
             return measure(c, [&] { maint.on_epoch(delta); });
+        });
+}
+
+// The same epoch as LiveTriangleEpoch, pushed through an engine whose hook
+// drives the maintainer: one pump(), so the engine's routing of the ops is
+// counted with the maintainer's. The engine's matrix starts empty; its
+// contents change no traffic.
+TEST_P(CommVolumeP, LiveTriangleEngineEpoch) {
+    expect_traffic(
+        {{0, 22576, 0, 3584, 0, 48}, {0, 45240, 0, 10512, 0, 72}},
+        [](Comm& c, Fixture& fx) {
+            analytics::AnalyticsHub<double> hub;
+            auto& maint =
+                hub.emplace<analytics::LiveTriangleMaintainer>(fx.grid, fx.n);
+            const auto ops = triangle_epoch_ops(fx, maint);
+            DistDynamicMatrix<double> A(fx.grid, fx.n, fx.n);
+            stream::EpochEngine<PlusTimes<double>> engine(A, one_pump_epochs());
+            hub.attach(engine);
+            push_ops(engine, stream::OpKind::Add, ops.adds);
+            push_ops(engine, stream::OpKind::Mask, ops.masks);
+            return measure(c, [&] { engine.pump(); });
+        });
+}
+
+// One engine epoch of all three kinds and no hook: the routing and the
+// sync all-reduce alone.
+TEST_P(CommVolumeP, EngineEpochAllKinds) {
+    expect_traffic(
+        {{0, 9264, 0, 384, 0, 28}, {0, 14928, 0, 960, 0, 42}},
+        [](Comm& c, Fixture& fx) {
+            DistDynamicMatrix<double> A(fx.grid, fx.n, fx.n);
+            stream::EpochEngine<PlusTimes<double>> engine(A, one_pump_epochs());
+            push_ops(engine, stream::OpKind::Add, fx.tuples(40));
+            push_ops(engine, stream::OpKind::Merge, fx.tuples(20));
+            push_ops(engine, stream::OpKind::Mask, fx.tuples(30));
+            return measure(c, [&] { engine.pump(); });
         });
 }
 
