@@ -13,69 +13,52 @@
 //
 // Each adapter maintains its OWN distributed matrices (the graph classes
 // own their state); the engine's matrix is the raw op log's image, the
-// maintainers are derived views of the same op stream. Ops a maintainer
-// cannot fold (MERGEs everywhere; MASKs for the non-ring (min,+) product
-// and the insertion-only contraction) are counted, not silently dropped —
-// ops_skipped() makes the divergence observable.
+// maintainers are derived views of the same op stream. They start from the
+// epoch's owner-side blocks (EpochDelta::owned_*), which the engine has
+// already routed, so no maintainer routes the epoch's ops again. Ops a
+// maintainer cannot fold (MERGEs everywhere; MASKs for the non-ring (min,+)
+// product and the insertion-only contraction) are counted, not silently
+// dropped — ops_skipped() makes the divergence observable.
 //
 // All on_epoch bodies are collective on every rank of every applied epoch,
 // including ranks whose delta is empty (each maintainer issues a fixed
-// sequence of collective rounds per epoch).
+// sequence of collective rounds per epoch). Each throws
+// std::invalid_argument, before any collective, when the delta's blocks are
+// not cut like its matrices.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analytics/maintainer.hpp"
-#include "core/redistribute.hpp"
+#include "core/update_ops.hpp"
 #include "graph/algorithms.hpp"
+#include "par/profiler.hpp"
+#include "sparse/dcsr_ops.hpp"
 
 namespace dsg::analytics {
 
-namespace detail {
-
-/// Canonical pair key for dedup maps; indices fit 32 bits (the adjacency
-/// dimension n bounds both coordinates, and streamed graphs here are far
-/// below 2^32 vertices).
-inline std::uint64_t pair_key(sparse::index_t i, sparse::index_t j) {
-    assert(i >= 0 && j >= 0 && i < (sparse::index_t{1} << 32) &&
-           j < (sparse::index_t{1} << 32));
-    return (static_cast<std::uint64_t>(i) << 32) |
-           static_cast<std::uint64_t>(j);
-}
-inline sparse::index_t key_row(std::uint64_t key) {
-    return static_cast<sparse::index_t>(key >> 32);
-}
-inline sparse::index_t key_col(std::uint64_t key) {
-    return static_cast<sparse::index_t>(key & 0xffffffffu);
-}
-
-}  // namespace detail
-
 /// Live triangle count of the undirected simple graph induced by the
-/// ADD/MASK stream. Per epoch:
-///   1. local normalization over canonical pairs {min(i,j), max(i,j)}:
-///      self-loops are dropped; a pair MASKed anywhere in the epoch nets to
-///      a delete candidate (the engine applies ADDs before MASKs, so a MASK
-///      wins over same-epoch ADDs of the same coordinate), otherwise to one
-///      insert candidate regardless of duplicate count;
-///   2. a collective membership round: candidates travel to the rank owning
-///      the pair's canonical direction in the maintained adjacency (value
-///      +1 = insert, -1 = delete share one redistribution); the owner
-///      dedupes candidates arriving from different ranks (mask wins again)
-///      and filters against current membership — inserts of live edges and
-///      deletes of absent edges dissolve here, which is what upholds
+/// ADD/MASK stream. Per epoch, starting from the owner-side ADD and MASK
+/// blocks:
+///   1. each rank sends the mirror (j, i) of every op (i, j) it owns to the
+///      owner of (j, i), in one world all-to-all, so both owners of a pair
+///      hold all of the pair's ops; self-loops are dropped;
+///   2. each owner folds a coordinate's ops into one, a MASK winning over
+///      ADDs (the engine applies ADDs before MASKs), and drops the ops its
+///      own entry of A already satisfies: inserts of live edges and deletes
+///      of absent edges dissolve here, which is what upholds
 ///      DynamicTriangleCounter's "new edges only" / "existing edges only"
-///      preconditions under arbitrary streams;
-///   3. the surviving edges, both directions each, form one signed batch
-///      (+1 insert, -1 delete) for DynamicTriangleCounter::update, and the
-///      refreshed count is published.
+///      preconditions under arbitrary streams. A is symmetric, so the two
+///      owners of a pair decide alike, and what is left is this rank's
+///      block of the epoch's signed A* (+1 insert, -1 delete);
+///   3. DynamicTriangleCounter::update runs on that A*, and the refreshed
+///      count is published.
 /// MERGEs have no structural meaning for an unweighted graph and are
-/// counted into ops_skipped().
+/// counted into ops_skipped(), as are self-loops.
 class LiveTriangleMaintainer final : public Maintainer<double> {
 public:
     LiveTriangleMaintainer(core::ProcessGrid& grid, sparse::index_t n,
@@ -85,74 +68,27 @@ public:
     [[nodiscard]] const char* name() const override { return "triangles"; }
 
     /// Seeds the graph from arbitrary edge tuples (collective): the batch
-    /// runs through the same normalization + membership path as an epoch of
-    /// ADDs, so duplicates and either-direction tuples are fine.
+    /// is routed to its owners and runs through the same path as an epoch
+    /// of ADDs, so duplicates and either-direction tuples are fine.
     void seed(std::vector<sparse::Triple<double>> edges) {
+        const core::DistShape& shape = counter_.adjacency().shape();
         stream::EpochDelta<double> delta;
+        delta.owned_adds = core::build_update_matrix(
+            shape.grid(), shape.nrows(), shape.ncols(), edges);
+        delta.owned_masks =
+            core::DistDcsr<double>(shape.grid(), shape.nrows(), shape.ncols());
         delta.adds = std::move(edges);
         on_epoch(delta);
     }
 
     void on_epoch(const stream::EpochDelta<double>& delta) override {
+        // The collective update runs every epoch (possibly with an empty
+        // A*) so ranks stay in lockstep.
+        counter_.update(signed_update(delta.owned_adds, delta.owned_masks));
         skipped_ += delta.merges.size();
-
-        // 1. Local per-epoch normalization (mask wins over add).
-        std::unordered_map<std::uint64_t, bool> net;  // pair -> saw a MASK
-        net.reserve(delta.adds.size() + delta.masks.size());
-        auto fold = [&](const std::vector<sparse::Triple<double>>& ops,
-                        bool is_mask) {
-            for (const auto& t : ops) {
-                if (t.row == t.col) {
-                    ++skipped_;  // self-loops: not edges of a simple graph
-                    continue;
-                }
-                const auto key = detail::pair_key(std::min(t.row, t.col),
-                                                  std::max(t.row, t.col));
-                auto [it, inserted] = net.try_emplace(key, is_mask);
-                if (!inserted && is_mask) it->second = true;
-            }
-        };
-        fold(delta.adds, false);
-        fold(delta.masks, true);
-
-        std::vector<sparse::Triple<double>> candidates;
-        candidates.reserve(net.size());
-        for (const auto& [key, masked] : net)
-            candidates.push_back(
-                {detail::key_row(key), detail::key_col(key),
-                 masked ? -1.0 : 1.0});
-
-        // 2. Collective membership resolution at the pair's owner rank.
-        const auto& shape = counter_.adjacency().shape();
-        auto mine = core::redistribute_tuples(shape.grid(), shape,
-                                              std::move(candidates));
-        std::unordered_map<std::uint64_t, bool> owner_net;
-        owner_net.reserve(mine.size());
-        for (const auto& t : mine) {
-            auto [it, inserted] =
-                owner_net.try_emplace(detail::pair_key(t.row, t.col),
-                                      t.value < 0.0);
-            if (!inserted && t.value < 0.0) it->second = true;
-        }
-        std::vector<sparse::Triple<double>> edges;
-        edges.reserve(2 * owner_net.size());
-        for (const auto& [key, masked] : owner_net) {
-            const sparse::index_t i = detail::key_row(key);
-            const sparse::index_t j = detail::key_col(key);
-            const bool present =
-                counter_.adjacency().local().find(shape.local_row(i),
-                                                  shape.local_col(j)) !=
-                nullptr;
-            // Inserts of live edges and deletes of absent ones dissolve.
-            if (masked != present) continue;
-            const double sign = masked ? -1.0 : 1.0;
-            edges.push_back({i, j, sign});
-            edges.push_back({j, i, sign});
-        }
-
-        // 3. The collective update runs every epoch (possibly with an
-        //    empty batch) so ranks stay in lockstep.
-        counter_.update(std::move(edges));
+        for (const auto* ops : {&delta.adds, &delta.masks})
+            for (const auto& t : *ops)
+                if (t.row == t.col) ++skipped_;  // not edges of a simple graph
         publish();
     }
 
@@ -179,6 +115,80 @@ public:
     }
 
 private:
+    /// Steps 1 and 2 of the class comment: this rank's block of the epoch's
+    /// signed A*, from its owner-side ADD and MASK blocks. Collective (one
+    /// world all-to-all).
+    core::DistDcsr<double> signed_update(const core::DistDcsr<double>& adds,
+                                         const core::DistDcsr<double>& masks) const {
+        using sparse::index_t;
+        using sparse::Triple;
+        const auto& a = counter_.adjacency();
+        const core::DistShape& shape = a.shape();
+        graph::detail::require_shape(adds.shape(), shape);
+        graph::detail::require_shape(masks.shape(), shape);
+        par::Comm& world = shape.grid().world();
+
+        // Value +1 is an ADD, -1 a MASK. `ops` holds this rank's ops in
+        // local coordinates; mirrors[d] those of its mirrors owned by d,
+        // which travel as a zero-length buffer when there are none.
+        std::vector<Triple<double>> ops;
+        std::vector<par::Buffer> send(static_cast<std::size_t>(world.size()));
+        {
+            par::Profiler::Scope scope(par::Phase::LocalConstruct);
+            std::vector<std::vector<Triple<double>>> mirrors(send.size());
+            auto take = [&](const core::Dcsr<double>& block, double sign) {
+                block.for_each([&](index_t li, index_t lj, double) {
+                    const index_t i = shape.global_row(li);
+                    const index_t j = shape.global_col(lj);
+                    if (i == j) return;
+                    ops.push_back({li, lj, sign});
+                    mirrors[static_cast<std::size_t>(shape.owner_rank(j, i))]
+                        .push_back({j, i, sign});
+                });
+            };
+            take(adds.local(), 1.0);
+            take(masks.local(), -1.0);
+            for (std::size_t d = 0; d < send.size(); ++d)
+                if (!mirrors[d].empty())
+                    par::BufferWriter(send[d]).write_vector(mirrors[d]);
+        }
+        std::vector<par::Buffer> recv;
+        {
+            par::Profiler::Scope scope(par::Phase::RedistComm);
+            recv = world.alltoallv(std::move(send));
+        }
+
+        par::Profiler::Scope scope(par::Phase::LocalConstruct);
+        for (const auto& buf : recv) {
+            if (buf.empty()) continue;
+            par::BufferReader r(buf);
+            for (const auto& t : r.read_vector<Triple<double>>())
+                ops.push_back({shape.local_row(t.row), shape.local_col(t.col),
+                               t.value});
+        }
+        // Fold each coordinate's ops, MASK winning (min over +-1) ...
+        const index_t rows = shape.local_rows();
+        const index_t cols = shape.local_cols();
+        sparse::counting_sort(ops, static_cast<std::size_t>(rows),
+                              [](const Triple<double>& t) {
+                                  return static_cast<std::size_t>(t.row);
+                              });
+        const auto grouped = core::Dcsr<double>::from_row_grouped(rows, cols, ops);
+        const core::Dcsr<double>* pieces[] = {&grouped};
+        const auto folded = sparse::dcsr_merge<double>(
+            pieces, rows, cols, [](double x, double y) { return std::min(x, y); });
+        // ... and keep what changes A: a delete of a live edge or an insert
+        // of an absent one.
+        ops.clear();
+        folded.for_each([&](index_t i, index_t j, double v) {
+            if ((v < 0.0) == (a.local().find(i, j) != nullptr))
+                ops.push_back({i, j, v});
+        });
+        core::DistDcsr<double> astar(shape.grid(), shape.nrows(), shape.ncols());
+        astar.local() = core::Dcsr<double>::from_row_grouped(rows, cols, ops);
+        return astar;
+    }
+
     // Collective: one scalar all-reduce of the counter's incrementally kept
     // share, so publishing costs no scan. The distance and contraction
     // maintainers instead rescan their local derived state on publish.
@@ -214,8 +224,8 @@ public:
     }
 
     void on_epoch(const stream::EpochDelta<double>& delta) override {
+        product_.apply_decreases(delta.owned_adds);  // collective
         skipped_ += delta.merges.size() + delta.masks.size();
-        product_.apply_decreases(delta.adds);  // collective
         publish();
     }
 
@@ -298,8 +308,8 @@ public:
     }
 
     void on_epoch(const stream::EpochDelta<double>& delta) override {
+        contraction_.insert_edges(delta.owned_adds);  // collective
         skipped_ += delta.merges.size() + delta.masks.size();
-        contraction_.insert_edges(delta.adds);  // collective
         publish();
     }
 

@@ -173,6 +173,8 @@ private:
 template <typename T>
 class DistDcsr {
 public:
+    /// An empty 0 x 0 block on no grid: a placeholder to assign into.
+    DistDcsr() = default;
     DistDcsr(ProcessGrid& grid, index_t nrows, index_t ncols)
         : shape_(grid, nrows, ncols),
           local_(shape_.local_rows(), shape_.local_cols()) {}

@@ -92,33 +92,20 @@ inline bool is_canonical(index_t u, index_t v) {
 
 namespace detail {
 
-/// Buckets triples by key into `buckets` packed wire buffers (the tuples are
-/// reordered in place by the counting sort).
-template <typename T, typename Key>
-std::vector<par::Buffer> bucket_triples(std::vector<Triple<T>>& ts,
-                                        int buckets, Key&& key) {
-    auto offsets = sparse::counting_sort(
-        ts, static_cast<std::size_t>(buckets), std::forward<Key>(key));
-    std::vector<par::Buffer> send(static_cast<std::size_t>(buckets));
-    for (int d = 0; d < buckets; ++d)
-        send[static_cast<std::size_t>(d)] = pack_triples(
-            ts.data() + offsets[static_cast<std::size_t>(d)],
-            offsets[static_cast<std::size_t>(d) + 1] -
-                offsets[static_cast<std::size_t>(d)]);
-    return send;
-}
-
 /// Allgathers this rank's triples over `comm` and concatenates (coordinates
 /// stay as passed in; callers localize afterwards).
 template <typename T>
 std::vector<Triple<T>> allgather_triples(par::Comm& comm,
                                          std::vector<Triple<T>> mine) {
-    par::Buffer buf = pack_triples(mine.data(), mine.size());
+    par::Buffer buf;
+    par::BufferWriter(buf).write_vector(mine);
     auto all = comm.allgather(std::move(buf));
     std::vector<Triple<T>> out;
     for (int s = 0; s < comm.size(); ++s) {
         if (s == comm.rank()) continue;
-        unpack_triples(all[static_cast<std::size_t>(s)], out);
+        par::BufferReader r(all[static_cast<std::size_t>(s)]);
+        const auto part = r.read_vector<Triple<T>>();
+        out.insert(out.end(), part.begin(), part.end());
     }
     out.insert(out.end(), mine.begin(), mine.end());
     return out;
@@ -148,14 +135,15 @@ Dcsr<T> update_slab(const DistShape& us, const Dcsr<T>& local, bool inner_row,
     });
     // The inner index is split over the other grid dimension: re-slab it
     // onto kp along the communicator whose ranks are the inner blocks.
+    // This is one phase of the redistribution of Section IV-B.
     if (inner_row != k_row && !symmetric) {
-        par::Comm& kcomm = k_row ? grid.col_comm() : grid.row_comm();
-        auto send = bucket_triples(ts, kcomm.size(), [&](const Triple<T>& t) {
-            return kp.owner(inner(t));
-        });
-        ts.clear();
-        for (const auto& buf : kcomm.alltoallv(std::move(send)))
-            unpack_triples(buf, ts);
+        std::vector<std::vector<Triple<T>>> one(1);
+        one[0] = std::move(ts);
+        ts = std::move(route_phase<T>(
+            k_row ? grid.col_comm() : grid.row_comm(), std::move(one),
+            [&](const Triple<T>& t) {
+                return static_cast<std::size_t>(kp.owner(inner(t)));
+            })[0]);
     }
     ts = allgather_triples(k_row ? grid.row_comm() : grid.col_comm(),
                            std::move(ts));

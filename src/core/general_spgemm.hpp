@@ -26,8 +26,8 @@
 //
 // C* is streamed, never hashed. Row u's filter word marks u's C* columns in
 // a dense byte row and scans F's row u once. The mask is broadcast as C*'s
-// serialized block, and the masked multiply walks it in step with its left
-// rows (sparse::SpgemmOptions::mask). The final merge walks C*'s rows and
+// serialized block (the root keeps using its own), and the masked multiply
+// walks it in step with its left rows (sparse::SpgemmOptions::mask). The final merge walks C*'s rows and
 // Z's in step (Z's rows are a subset), marks Z's columns, assigns C and F
 // from Z and erases every other mask coordinate. One all-reduce of
 // GeneralSpgemmStats fills the diagnostics.
@@ -171,11 +171,13 @@ GeneralSpgemmStats general_dynamic_spgemm(
     std::vector<par::Buffer> z_send(static_cast<std::size_t>(rows));
     std::vector<Dcsr<VB>> z_parts;  // its own, then the incoming by source
     for (int a = 0; a < rows; ++a) {
-        Dcsr<std::uint64_t> cstar_aj;
+        // The root multiplies with its own block, the others with the copy.
+        Dcsr<std::uint64_t> received;
         {
             Profiler::Scope scope(Phase::Bcast);
-            cstar_aj = Dcsr<std::uint64_t>::deserialize(inflight->wait());
+            const par::Buffer buf = inflight->wait();
             inflight.reset();
+            if (a != i) received = Dcsr<std::uint64_t>::deserialize(buf);
         }
         if (a + 1 < rows) inflight.emplace(post_mask(a + 1));
 
@@ -184,7 +186,7 @@ GeneralSpgemmStats general_dynamic_spgemm(
             Profiler::Scope scope(Phase::LocalMult);
             sparse::SpgemmOptions sopts;
             sopts.pool = opts.pool;
-            sopts.mask = &cstar_aj;
+            sopts.mask = a == i ? &mask : &received;
             sopts.inner_offset = kr.offset(i);
             auto ar_slice = sparse::dcsr_row_block(ar_slab, rp.offset(a),
                                                    rp.offset(a + 1));

@@ -49,6 +49,9 @@ public:
         return offset(b) + local;
     }
 
+    /// Same extent cut into the same blocks.
+    bool operator==(const BlockPartition&) const = default;
+
 private:
     index_t n_ = 0;
     int q_ = 1;

@@ -8,12 +8,20 @@
 // sort over only one grid dimension's worth of buckets, and each alltoallv
 // involves only that many peers (sqrt(p) on a square grid).
 //
+// One exchange routes any number of tuple kinds (the streaming engine's
+// ADD, MERGE and MASK lists): redistribute_kinds gives every buffer one
+// segment per kind, so K kinds cost two alltoallvs, not 2K, and move exactly
+// the bytes of K one-kind exchanges. redistribute_tuples is the one-kind
+// case.
+//
 // RedistMode::DirectSort is the competitor strategy the paper measures
 // against (CombBLAS-style): one comparison sort by destination rank followed
 // by a single global alltoallv over all p ranks.
 #pragma once
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/dist_matrix.hpp"
@@ -30,22 +38,89 @@ enum class RedistMode {
 
 namespace detail {
 
-template <typename T>
-par::Buffer pack_triples(const Triple<T>* data, std::size_t count) {
-    par::Buffer buf;
-    par::BufferWriter w(buf);
-    w.write_span(std::span<const Triple<T>>(data, count));
-    return buf;
+/// One phase of the two-phase exchange, over `comm`, for every kind at
+/// once. Each kind is stably counting-sorted out of place by key(t), the
+/// destination's rank in `comm`; every destination then gets one buffer
+/// holding one segment per kind, which is that kind's write_span, exactly
+/// what a one-kind buffer holds. Returns per kind what arrived, in source
+/// rank order and each source's order, in the vector the phase sorted.
+/// `kinds` is dropped once sorted: that frees the tuples where the phase
+/// owns them (a vector of vectors) and leaves a caller's span alone.
+template <typename T, typename Kinds, typename KeyFn>
+std::vector<std::vector<Triple<T>>> route_phase(par::Comm& comm, Kinds kinds,
+                                                KeyFn&& key) {
+    using par::Phase;
+    using par::Profiler;
+    const auto dests = static_cast<std::size_t>(comm.size());
+    std::vector<std::vector<Triple<T>>> sorted(kinds.size());
+    std::vector<std::vector<std::size_t>> offsets(kinds.size());
+    {
+        Profiler::Scope scope(Phase::RedistSort);
+        for (std::size_t k = 0; k < kinds.size(); ++k)
+            offsets[k] = sparse::counting_sort_into<T>(kinds[k], sorted[k],
+                                                       dests, key);
+        kinds = Kinds{};
+    }
+    std::vector<par::Buffer> send(dests);
+    for (std::size_t d = 0; d < dests; ++d) {
+        std::size_t bytes = 0;
+        for (const auto& o : offsets)
+            bytes += sizeof(std::uint64_t) + (o[d + 1] - o[d]) * sizeof(Triple<T>);
+        send[d].reserve(bytes);
+        par::BufferWriter w(send[d]);
+        for (std::size_t k = 0; k < sorted.size(); ++k)
+            w.write_span(std::span<const Triple<T>>(sorted[k]).subspan(
+                offsets[k][d], offsets[k][d + 1] - offsets[k][d]));
+    }
+    std::vector<par::Buffer> recv;
+    {
+        Profiler::Scope scope(Phase::RedistComm);
+        recv = comm.alltoallv(std::move(send));
+    }
+    Profiler::Scope scope(Phase::MemManagement);
+    for (auto& s : sorted) s.clear();
+    for (const auto& buf : recv) {
+        par::BufferReader r(buf);
+        for (auto& s : sorted) {
+            const auto part = r.template read_vector<Triple<T>>();
+            s.insert(s.end(), part.begin(), part.end());
+        }
+    }
+    return sorted;
 }
 
-template <typename T>
-void unpack_triples(const par::Buffer& buf, std::vector<Triple<T>>& out) {
-    par::BufferReader r(buf);
-    auto part = r.template read_vector<Triple<T>>();
-    out.insert(out.end(), part.begin(), part.end());
+/// The two-phase exchange of K kinds (see route_phase for `kinds`).
+template <typename T, typename Kinds>
+std::vector<std::vector<Triple<T>>> two_phase(ProcessGrid& grid,
+                                              const DistShape& shape,
+                                              Kinds kinds) {
+    const auto& rp = shape.row_partition();
+    const auto& cp = shape.col_partition();
+    // Phase 1: to the correct grid row, exchanging within this process
+    // column. col_comm ranks are ordered by grid row (`rows` buckets).
+    auto by_row = route_phase<T>(
+        grid.col_comm(), std::move(kinds),
+        [&](const Triple<T>& t) { return static_cast<std::size_t>(rp.owner(t.row)); });
+    // Phase 2: to the correct grid column, exchanging within this process
+    // row. row_comm ranks are ordered by grid column (`cols` buckets).
+    return route_phase<T>(
+        grid.row_comm(), std::move(by_row),
+        [&](const Triple<T>& t) { return static_cast<std::size_t>(cp.owner(t.col)); });
 }
 
 }  // namespace detail
+
+/// Routes K kinds of tuples (global coordinates) to the ranks owning their
+/// blocks in one two-phase exchange; returns per kind the tuples this rank
+/// owns, still in global coordinates, in exactly the order
+/// redistribute_tuples returns for that kind alone. The inputs are only
+/// read. Collective; every rank passes the same number of kinds.
+template <typename T>
+std::vector<std::vector<Triple<T>>> redistribute_kinds(
+    ProcessGrid& grid, const DistShape& shape,
+    std::span<const std::span<const Triple<T>>> kinds) {
+    return detail::two_phase<T>(grid, shape, kinds);
+}
 
 /// Routes tuples (global coordinates) to the rank owning their block; returns
 /// the tuples this rank owns, still in global coordinates. Collective.
@@ -54,109 +129,26 @@ std::vector<Triple<T>> redistribute_tuples(ProcessGrid& grid,
                                            const DistShape& shape,
                                            std::vector<Triple<T>> tuples,
                                            RedistMode mode = RedistMode::TwoPhase) {
-    using par::Phase;
-    using par::Profiler;
-    const int rows = grid.rows();
-    const int cols = grid.cols();
-    const auto& rp = shape.row_partition();
-    const auto& cp = shape.col_partition();
-
-    if (mode == RedistMode::DirectSort) {
-        // Competitor path: sort by destination world rank, one global
-        // exchange over all p ranks.
-        {
-            Profiler::Scope scope(Phase::RedistSort);
-            std::sort(tuples.begin(), tuples.end(),
-                      [&](const Triple<T>& a, const Triple<T>& b) {
-                          const int ra = shape.owner_rank(a.row, a.col);
-                          const int rb = shape.owner_rank(b.row, b.col);
-                          if (ra != rb) return ra < rb;
-                          return std::tie(a.row, a.col) < std::tie(b.row, b.col);
-                      });
-        }
-        const int p = grid.world().size();
-        std::vector<par::Buffer> send(static_cast<std::size_t>(p));
-        {
-            Profiler::Scope scope(Phase::RedistSort);
-            std::size_t begin = 0;
-            for (int dest = 0; dest < p; ++dest) {
-                std::size_t end = begin;
-                while (end < tuples.size() &&
-                       shape.owner_rank(tuples[end].row, tuples[end].col) == dest)
-                    ++end;
-                send[static_cast<std::size_t>(dest)] =
-                    detail::pack_triples(tuples.data() + begin, end - begin);
-                begin = end;
-            }
-        }
-        std::vector<par::Buffer> recv;
-        {
-            Profiler::Scope scope(Phase::RedistComm);
-            recv = grid.world().alltoallv(std::move(send));
-        }
-        std::vector<Triple<T>> out;
-        {
-            Profiler::Scope scope(Phase::MemManagement);
-            for (const auto& buf : recv) detail::unpack_triples(buf, out);
-        }
-        return out;
-    }
-
-    // Phase 1: to the correct grid row, exchanging within this process
-    // column. col_comm ranks are ordered by grid row (`rows` buckets).
-    std::vector<std::size_t> offsets;
+    std::vector<std::vector<Triple<T>>> one(1);
+    one[0] = std::move(tuples);
+    if (mode == RedistMode::TwoPhase)
+        return std::move(detail::two_phase<T>(grid, shape, std::move(one))[0]);
+    // Competitor path: sort by destination world rank, then one global
+    // exchange over all p ranks (whose stable grouping keeps that order).
     {
-        Profiler::Scope scope(Phase::RedistSort);
-        offsets = sparse::counting_sort(
-            tuples, static_cast<std::size_t>(rows),
-            [&](const Triple<T>& t) { return rp.owner(t.row); });
+        par::Profiler::Scope scope(par::Phase::RedistSort);
+        std::sort(one[0].begin(), one[0].end(),
+                  [&](const Triple<T>& a, const Triple<T>& b) {
+                      const int ra = shape.owner_rank(a.row, a.col);
+                      const int rb = shape.owner_rank(b.row, b.col);
+                      if (ra != rb) return ra < rb;
+                      return std::tie(a.row, a.col) < std::tie(b.row, b.col);
+                  });
     }
-    {
-        std::vector<par::Buffer> send(static_cast<std::size_t>(rows));
-        for (int dest = 0; dest < rows; ++dest)
-            send[static_cast<std::size_t>(dest)] = detail::pack_triples(
-                tuples.data() + offsets[static_cast<std::size_t>(dest)],
-                offsets[static_cast<std::size_t>(dest) + 1] -
-                    offsets[static_cast<std::size_t>(dest)]);
-        std::vector<par::Buffer> recv;
-        {
-            Profiler::Scope scope(Phase::RedistComm);
-            recv = grid.col_comm().alltoallv(std::move(send));
-        }
-        tuples.clear();
-        {
-            Profiler::Scope scope(Phase::MemManagement);
-            for (const auto& buf : recv) detail::unpack_triples(buf, tuples);
-        }
-    }
-
-    // Phase 2: to the correct grid column, exchanging within this process
-    // row. row_comm ranks are ordered by grid column (`cols` buckets).
-    {
-        Profiler::Scope scope(Phase::RedistSort);
-        offsets = sparse::counting_sort(
-            tuples, static_cast<std::size_t>(cols),
-            [&](const Triple<T>& t) { return cp.owner(t.col); });
-    }
-    {
-        std::vector<par::Buffer> send(static_cast<std::size_t>(cols));
-        for (int dest = 0; dest < cols; ++dest)
-            send[static_cast<std::size_t>(dest)] = detail::pack_triples(
-                tuples.data() + offsets[static_cast<std::size_t>(dest)],
-                offsets[static_cast<std::size_t>(dest) + 1] -
-                    offsets[static_cast<std::size_t>(dest)]);
-        std::vector<par::Buffer> recv;
-        {
-            Profiler::Scope scope(Phase::RedistComm);
-            recv = grid.row_comm().alltoallv(std::move(send));
-        }
-        tuples.clear();
-        {
-            Profiler::Scope scope(Phase::MemManagement);
-            for (const auto& buf : recv) detail::unpack_triples(buf, tuples);
-        }
-    }
-    return tuples;
+    return std::move(detail::route_phase<T>(
+        grid.world(), std::move(one), [&](const Triple<T>& t) {
+            return static_cast<std::size_t>(shape.owner_rank(t.row, t.col));
+        })[0]);
 }
 
 }  // namespace dsg::core

@@ -1,6 +1,7 @@
 // Dynamic update operations (Section IV-A):
 //  - building a distributed hypersparse update matrix A* from locally
-//    generated tuples (involves the redistribution of Section IV-B);
+//    generated tuples (involves the redistribution of Section IV-B), one
+//    kind at a time or several kinds in one exchange;
 //  - ADD:   A <- A (+) A*   (semiring addition; algebraic updates);
 //  - MERGE: replace the value of every (i, j) present in A*;
 //  - MASK:  delete every (i, j) of A that is non-zero in A*.
@@ -11,6 +12,7 @@
 // the DHB block, exactly the scheme of Section IV-B.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/dist_matrix.hpp"
@@ -20,35 +22,6 @@
 #include "sparse/semiring.hpp"
 
 namespace dsg::core {
-
-/// Builds the distributed update matrix from tuples generated anywhere:
-/// redistributes them to owner ranks and assembles a local-index DCSR block
-/// per rank. Collective.
-template <typename T>
-DistDcsr<T> build_update_matrix(ProcessGrid& grid, index_t nrows, index_t ncols,
-                                std::vector<Triple<T>> tuples) {
-    using par::Phase;
-    using par::Profiler;
-    DistDcsr<T> out(grid, nrows, ncols);
-    auto mine = redistribute_tuples(grid, out.shape(), std::move(tuples));
-
-    Profiler::Scope scope(Phase::LocalConstruct);
-    // Map to block-local coordinates.
-    for (auto& t : mine) {
-        t.row = out.shape().local_row(t.row);
-        t.col = out.shape().local_col(t.col);
-    }
-    // Group by local row (counting sort over local rows) to form the DCSR.
-    const auto local_rows = static_cast<std::size_t>(out.shape().local_rows());
-    if (local_rows > 0) {
-        sparse::counting_sort(mine, local_rows, [](const Triple<T>& t) {
-            return static_cast<std::size_t>(t.row);
-        });
-    }
-    out.local() = Dcsr<T>::from_row_grouped(out.shape().local_rows(),
-                                            out.shape().local_cols(), mine);
-    return out;
-}
 
 namespace detail {
 
@@ -79,6 +52,45 @@ void apply_rowwise(const Dcsr<T>& update, par::ThreadPool* pool, Fn&& fn) {
 }
 
 }  // namespace detail
+
+/// Builds one distributed update matrix per kind from tuples generated
+/// anywhere, in one exchange (redistribute_kinds), and assembles each
+/// kind's tuples this rank owns into its local-index DCSR block: uncombined
+/// (duplicates stay), in arrival order within a row. The inputs are only
+/// read. Collective.
+template <typename T>
+std::vector<DistDcsr<T>> build_update_matrices(
+    ProcessGrid& grid, index_t nrows, index_t ncols,
+    std::span<const std::span<const Triple<T>>> kinds) {
+    const DistShape shape(grid, nrows, ncols);
+    auto mine = redistribute_kinds<T>(grid, shape, kinds);
+    par::Profiler::Scope scope(par::Phase::LocalConstruct);
+    std::vector<DistDcsr<T>> out;
+    for (auto& m : mine) {
+        for (auto& t : m) {
+            t.row = shape.local_row(t.row);
+            t.col = shape.local_col(t.col);
+        }
+        // Group by local row (counting sort over local rows) to form the DCSR.
+        sparse::counting_sort(m, static_cast<std::size_t>(shape.local_rows()),
+                              [](const Triple<T>& t) {
+                                  return static_cast<std::size_t>(t.row);
+                              });
+        out.emplace_back(grid, nrows, ncols).local() = Dcsr<T>::from_row_grouped(
+            shape.local_rows(), shape.local_cols(), m);
+        m = {};
+    }
+    return out;
+}
+
+/// The one-kind case of build_update_matrices: the distributed update
+/// matrix of tuples generated anywhere. Collective.
+template <typename T>
+DistDcsr<T> build_update_matrix(ProcessGrid& grid, index_t nrows, index_t ncols,
+                                const std::vector<Triple<T>>& tuples) {
+    const std::span<const Triple<T>> one[] = {tuples};
+    return std::move(build_update_matrices<T>(grid, nrows, ncols, one)[0]);
+}
 
 /// A <- A (+) A* with the semiring addition (insertions / algebraic updates).
 /// Local-only; requires A* built by build_update_matrix.

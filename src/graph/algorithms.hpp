@@ -48,6 +48,16 @@ inline void restore_local_block(DistDynamicMatrix<double>& m,
     m.local() = tile;
 }
 
+/// Throws std::invalid_argument unless an update block is cut into the same
+/// blocks as the matrix it updates.
+inline void require_shape(const core::DistShape& update,
+                          const core::DistShape& matrix) {
+    if (!(update.row_partition() == matrix.row_partition() &&
+          update.col_partition() == matrix.col_partition()))
+        throw std::invalid_argument(
+            "update block is not distributed like the matrix it updates");
+}
+
 }  // namespace detail
 
 /// Exact triangle count of an undirected simple graph given as a 0/1
@@ -115,10 +125,15 @@ public:
     /// removes one that is. C entries whose last two-hop path went away are
     /// erased by Algorithm 1 as it absorbs, so the work outside the one
     /// term is O(nnz(A*)). Collective.
-    void update(std::vector<sparse::Triple<double>> edges) {
-        ProcessGrid& grid = a_.shape().grid();
+    void update(const std::vector<sparse::Triple<double>>& edges) {
         const auto n = a_.shape().nrows();
-        auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
+        update(core::build_update_matrix(a_.shape().grid(), n, n, edges));
+    }
+
+    /// update() with the batch already at its owners as A*. Throws
+    /// std::invalid_argument when A* is not cut like A. Collective.
+    void update(const core::DistDcsr<double>& astar) {
+        detail::require_shape(astar.shape(), a_.shape());
         core::DynamicSpgemmOptions opts;
         opts.pool = pool_;
         share_ += 0.5 * c_dot(astar.local());  // s_before / 2
@@ -267,10 +282,16 @@ public:
 
     /// Algebraic batch: inserts edges / lowers weights; D is maintained with
     /// one dynamic SpGEMM round over the hypersparse A*. Collective.
-    void apply_decreases(std::vector<sparse::Triple<double>> edges) {
-        ProcessGrid& grid = a_.shape().grid();
+    void apply_decreases(const std::vector<sparse::Triple<double>>& edges) {
         const auto n = a_.shape().nrows();
-        auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
+        apply_decreases(core::build_update_matrix(a_.shape().grid(), n, n, edges));
+    }
+
+    /// apply_decreases() with A* already at its owners; duplicate
+    /// coordinates fold by min. Throws std::invalid_argument when A* is not
+    /// cut like A. Collective.
+    void apply_decreases(const core::DistDcsr<double>& astar) {
+        detail::require_shape(astar.shape(), a_.shape());
         core::DynamicSpgemmOptions opts;
         opts.pool = pool_;
         // D' = D min (S A*): the term of a right update; S is unchanged.
@@ -343,11 +364,19 @@ public:
 
     /// Inserts weighted edges into A and updates T = A S and C = S^T A S
     /// dynamically. Collective.
-    void insert_edges(std::vector<sparse::Triple<double>> edges) {
+    void insert_edges(const std::vector<sparse::Triple<double>>& edges) {
+        const auto n = a_.shape().nrows();
+        insert_edges(core::build_update_matrix(a_.shape().grid(), n, n, edges));
+    }
+
+    /// insert_edges() with A* already at its owners; duplicate coordinates
+    /// add up. Throws std::invalid_argument when A* is not cut like A.
+    /// Collective.
+    void insert_edges(const core::DistDcsr<double>& astar) {
+        detail::require_shape(astar.shape(), a_.shape());
         ProcessGrid& grid = a_.shape().grid();
         const auto n = a_.shape().nrows();
         const auto s = s_.shape().ncols();
-        auto astar = core::build_update_matrix(grid, n, n, std::move(edges));
         core::DynamicSpgemmOptions opts;
         opts.pool = pool_;
 

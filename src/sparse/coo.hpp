@@ -7,6 +7,8 @@
 #include <cassert>
 #include <numeric>
 #include <random>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "sparse/semiring.hpp"
@@ -14,24 +16,34 @@
 
 namespace dsg::sparse {
 
-/// Stable counting sort of triples into `buckets` groups by key(triple) in
-/// [0, buckets). Returns the bucket boundaries: offsets[b] .. offsets[b+1] is
-/// bucket b. This is the O(nnz + buckets) grouping the paper's two-phase
-/// redistribution uses with buckets = sqrt(p).
+/// Stable counting sort of `in` into `out` (resized to in.size()), grouped
+/// by key(triple) in [0, buckets); `in` is left as it was. Returns the
+/// bucket boundaries: offsets[b] .. offsets[b+1] is bucket b of `out`. This
+/// is the O(nnz + buckets) grouping the paper's two-phase redistribution
+/// uses with buckets = sqrt(p).
 template <typename T, typename KeyFn>
-std::vector<std::size_t> counting_sort(std::vector<Triple<T>>& triples,
-                                       std::size_t buckets, KeyFn&& key) {
+std::vector<std::size_t> counting_sort_into(std::span<const Triple<T>> in,
+                                            std::vector<Triple<T>>& out,
+                                            std::size_t buckets, KeyFn&& key) {
     std::vector<std::size_t> counts(buckets + 1, 0);
-    for (const auto& t : triples) {
+    for (const auto& t : in) {
         const auto b = static_cast<std::size_t>(key(t));
         assert(b < buckets);
         ++counts[b + 1];
     }
     std::partial_sum(counts.begin(), counts.end(), counts.begin());
-    std::vector<Triple<T>> out(triples.size());
+    out.resize(in.size());
     std::vector<std::size_t> cursor(counts.begin(), counts.end() - 1);
-    for (auto& t : triples)
-        out[cursor[static_cast<std::size_t>(key(t))]++] = std::move(t);
+    for (const auto& t : in) out[cursor[static_cast<std::size_t>(key(t))]++] = t;
+    return counts;
+}
+
+/// counting_sort_into with the result replacing `triples`.
+template <typename T, typename KeyFn>
+std::vector<std::size_t> counting_sort(std::vector<Triple<T>>& triples,
+                                       std::size_t buckets, KeyFn&& key) {
+    std::vector<Triple<T>> out;
+    auto counts = counting_sort_into<T>(triples, out, buckets, key);
     triples = std::move(out);
     return counts;
 }

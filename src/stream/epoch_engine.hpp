@@ -9,11 +9,11 @@
 //   1. drains the local queue (Phase::StreamDrain),
 //   2. agrees collectively on the per-kind global op counts and whether
 //      every rank's queue is exhausted (one allreduce),
-//   3. partitions the drained ops into ADD / MERGE / MASK streams in queue
-//      order and applies each globally non-empty stream through
-//      core::build_update_matrix + add_update / merge_update / mask_delete
-//      (Phase::StreamApply; globally empty streams skip their collective
-//      round entirely).
+//   3. routes every globally non-empty kind to its owners in ONE two-phase
+//      exchange (core::build_update_matrices, one segment per kind in each
+//      buffer; a globally empty kind adds nothing) and applies the owner-side
+//      blocks through add_update / merge_update / mask_delete
+//      (Phase::StreamApply).
 // The apply order within an epoch is fixed (ADDs, then MERGEs, then MASKs);
 // ops whose relative order must be preserved therefore belong in the same
 // stream or in different epochs.
@@ -26,7 +26,9 @@
 // Epoch subscribers: set_epoch_hook(fn) registers a callback invoked at
 // every *applied* epoch boundary — after the drained ops are applied to the
 // matrix and before the reader lock is released — with an EpochDelta holding
-// this rank's drained ops partitioned by kind. The hook fires on every rank
+// this rank's drained ops partitioned by kind and the owner-side blocks the
+// engine routed and applied, so subscribers start from the routed ops
+// instead of routing them again. The hook fires on every rank
 // of the same epoch (the trigger is the agreed global op count), so hook
 // bodies may issue collectives; src/analytics/ builds on exactly this to
 // keep derived values (triangle counts, distances, contractions)
@@ -47,6 +49,7 @@
 #include <functional>
 #include <memory>
 #include <shared_mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -83,11 +86,17 @@ struct EngineConfig {
 };
 
 /// What ONE rank contributed to one applied epoch, as handed to the epoch
-/// hook: the drained local ops partitioned by kind, queue order preserved
-/// within each list (the order the engine applied them in, ADDs before
-/// MERGEs before MASKs). Tuples are in global coordinates; lists may be
-/// empty on ranks that drained nothing while another rank's ops triggered
-/// the epoch.
+/// hook, in two forms:
+///  - the drained local ops partitioned by kind, queue order preserved
+///    within each list, in global coordinates (what the WAL logs); lists may
+///    be empty on ranks that drained nothing while another rank's ops
+///    triggered the epoch;
+///  - the epoch's owner-side blocks, one per kind, as the engine routed and
+///    applied them: this rank's block of every rank's ops of that kind,
+///    uncombined (duplicate coordinates stay), in apply order. A globally
+///    empty kind has an empty block of the matrix's shape. They are set
+///    before the epoch hook and empty in the WAL hook's delta, which runs
+///    before routing.
 template <typename T>
 struct EpochDelta {
     std::uint64_t version = 0;    ///< engine version after this epoch's apply
@@ -95,6 +104,9 @@ struct EpochDelta {
     std::vector<sparse::Triple<T>> adds;
     std::vector<sparse::Triple<T>> merges;
     std::vector<sparse::Triple<T>> masks;
+    core::DistDcsr<T> owned_adds;
+    core::DistDcsr<T> owned_merges;
+    core::DistDcsr<T> owned_masks;
 };
 
 /// Per-epoch measurements of ONE rank.
@@ -104,7 +116,7 @@ struct EpochStats {
     std::size_t adds = 0, merges = 0, masks = 0;
     std::uint64_t global_ops = 0;  ///< drained summed over all ranks
     double drain_ms = 0;           ///< trigger wait + queue drain
-    double apply_ms = 0;           ///< A* builds + local application
+    double apply_ms = 0;           ///< routing + local application
     double hook_ms = 0;            ///< epoch hook (analytics maintainers)
     double publish_ms = 0;         ///< snapshot publication (src/serve/)
     double persist_ms = 0;         ///< WAL append + checkpoint (src/persist/)
@@ -178,7 +190,8 @@ public:
     [[nodiscard]] const EngineConfig& config() const { return cfg_; }
 
     /// Called at every applied epoch boundary, after apply and before the
-    /// reader lock is released, with this rank's drained ops.
+    /// reader lock is released, with this rank's drained ops and owner-side
+    /// blocks.
     using EpochHook = std::function<void(const EpochDelta<T>&)>;
 
     /// Subscribes to epoch boundaries. Must be set before pumping starts,
@@ -189,12 +202,13 @@ public:
     void set_epoch_hook(EpochHook hook) { hook_ = std::move(hook); }
 
     /// Write-ahead subscriber: called on every rank of an applied epoch
-    /// BEFORE any of the epoch's ops touch the matrix, with the same
-    /// EpochDelta the epoch hook will see (delta.version is the version the
-    /// epoch is about to produce). The durability layer (src/persist/)
-    /// appends the delta to the rank's op log here, so a crash between log
-    /// write and apply replays the epoch instead of losing it (redo
-    /// semantics). Same all-ranks-or-none rule as set_epoch_hook.
+    /// BEFORE any of the epoch's ops touch the matrix, with the EpochDelta
+    /// the epoch hook will see, before its owner-side blocks are set
+    /// (delta.version is the version the epoch is about to produce). The
+    /// durability layer (src/persist/) appends the delta to the rank's op
+    /// log here, so a crash between log write and apply replays the epoch
+    /// instead of losing it (redo semantics). Same all-ranks-or-none rule
+    /// as set_epoch_hook.
     void set_wal_hook(EpochHook hook) { wal_hook_ = std::move(hook); }
 
     /// Called after the epoch hook (still under the writer lock, so the
@@ -244,34 +258,32 @@ public:
         e.drain_ms = ms_since(t0);
 
         // Partition into the three update streams, preserving queue order
-        // within each stream.
-        adds_.clear();
-        merges_.clear();
-        masks_.clear();
+        // within each stream. The lists live in the delta: routing only
+        // reads them, and the hooks and the WAL see them as drained.
+        EpochDelta<T> delta;
         for (const auto& op : scratch_) {
             switch (op.kind) {
-                case OpKind::Add: adds_.push_back(op.tuple); break;
-                case OpKind::Merge: merges_.push_back(op.tuple); break;
-                case OpKind::Mask: masks_.push_back(op.tuple); break;
+                case OpKind::Add: delta.adds.push_back(op.tuple); break;
+                case OpKind::Merge: delta.merges.push_back(op.tuple); break;
+                case OpKind::Mask: delta.masks.push_back(op.tuple); break;
             }
         }
-        e.adds = adds_.size();
-        e.merges = merges_.size();
-        e.masks = masks_.size();
+        e.adds = delta.adds.size();
+        e.merges = delta.merges.size();
+        e.masks = delta.masks.size();
 
         // One collective agreement: per-kind global op counts and global
         // exhaustion. The counts also decide, identically on every rank,
-        // which of the three collective apply rounds can be skipped this
-        // epoch (ADD-only traffic pays one round, not three). exhausted()
-        // is evaluated after the drain, so a true verdict is final (a
-        // closed queue accepts no further pushes).
+        // which kinds the epoch's exchange carries (a globally empty kind
+        // adds no segment). exhausted() is evaluated after the drain, so a
+        // true verdict is final (a closed queue accepts no further pushes).
         struct Sync {
             std::uint64_t adds, merges, masks;
             std::uint8_t done;
         };
         auto& world = A_->shape().grid().world();
         const Sync g = world.allreduce(
-            Sync{adds_.size(), merges_.size(), masks_.size(),
+            Sync{e.adds, e.merges, e.masks,
                  queue_.exhausted() ? std::uint8_t{1} : std::uint8_t{0}},
             [](Sync a, Sync b) {
                 return Sync{a.adds + b.adds, a.merges + b.merges,
@@ -287,33 +299,8 @@ public:
                 static_cast<std::int64_t>(version_ + 1));
             auto t1 = Clock::now();
             std::unique_lock lock(snapshot_mx_);
-            // The applies below consume the partitioned streams, so the
-            // hooks' delta is captured first. With an epoch hook the lists
-            // are copied (the hook reads them after apply consumed the
-            // originals); with ONLY a WAL hook they are moved through the
-            // delta and moved back out by the applies — zero copies, which
-            // keeps the durable-ingest overhead bench_recovery gates low.
-            EpochDelta<T> delta;
-            // The move-through-the-delta fast path needs the lists dead
-            // after apply; the overlapped WAL worker instead keeps its own
-            // copy of the delta alive past this pump call.
-            const bool wal_only = wal_hook_ && !hook_ && !cfg_.overlap_persist;
-            if (hook_ || wal_hook_) {
-                delta.version = version_ + 1;
-                delta.global_ops = e.global_ops;
-                if (wal_only) {
-                    delta.adds = std::move(adds_);
-                    delta.merges = std::move(merges_);
-                    delta.masks = std::move(masks_);
-                } else {
-                    delta.adds = adds_;
-                    delta.merges = merges_;
-                    delta.masks = masks_;
-                }
-            }
-            auto& apply_adds = wal_only ? delta.adds : adds_;
-            auto& apply_merges = wal_only ? delta.merges : merges_;
-            auto& apply_masks = wal_only ? delta.masks : masks_;
+            delta.version = version_ + 1;
+            delta.global_ops = e.global_ops;
             if (wal_hook_) {
                 const auto tw = Clock::now();
                 // Any WAL write still in flight from the previous epoch must
@@ -322,9 +309,9 @@ public:
                 join_wal_worker();
                 if (cfg_.overlap_persist) {
                     // The write itself proceeds under this epoch's apply and
-                    // the next epoch's drain; on crash the in-flight record
-                    // may be missing, hence the default-off documentation in
-                    // EngineConfig.
+                    // the next epoch's drain, on the worker's own copy of the
+                    // delta; on crash the in-flight record may be missing,
+                    // hence the default-off documentation in EngineConfig.
                     auto d = std::make_shared<EpochDelta<T>>(delta);
                     wal_worker_ = std::thread(
                         [hook = &wal_hook_, d] { (*hook)(*d); });
@@ -340,24 +327,31 @@ public:
             }
             {
                 par::Profiler::Scope scope(par::Phase::StreamApply);
-                auto& grid = A_->shape().grid();
-                const index_t nr = A_->shape().nrows();
-                const index_t nc = A_->shape().ncols();
-                if (g.adds > 0) {
-                    auto ua = core::build_update_matrix(
-                        grid, nr, nc, std::move(apply_adds));
-                    core::add_update<SR>(*A_, ua, cfg_.pool);
-                }
-                if (g.merges > 0) {
-                    auto um = core::build_update_matrix(
-                        grid, nr, nc, std::move(apply_merges));
-                    core::merge_update(*A_, um, cfg_.pool);
-                }
-                if (g.masks > 0) {
-                    auto ud = core::build_update_matrix(
-                        grid, nr, nc, std::move(apply_masks));
-                    core::mask_delete(*A_, ud, cfg_.pool);
-                }
+                // One exchange routes the globally non-empty kinds; every
+                // kind's owner-side block goes into the delta (an empty one
+                // of the matrix's shape for a globally empty kind).
+                const core::DistShape& s = A_->shape();
+                const bool carried[] = {g.adds > 0, g.merges > 0, g.masks > 0};
+                const std::span<const sparse::Triple<T>> lists[] = {
+                    delta.adds, delta.merges, delta.masks};
+                core::DistDcsr<T>* blocks[] = {&delta.owned_adds,
+                                               &delta.owned_merges,
+                                               &delta.owned_masks};
+                std::vector<std::span<const sparse::Triple<T>>> kinds;
+                for (std::size_t k = 0; k < 3; ++k)
+                    if (carried[k]) kinds.push_back(lists[k]);
+                auto routed = core::build_update_matrices<T>(
+                    s.grid(), s.nrows(), s.ncols(), kinds);
+                for (std::size_t k = 0, next = 0; k < 3; ++k)
+                    *blocks[k] = carried[k] ? std::move(routed[next++])
+                                            : core::DistDcsr<T>(s.grid(), s.nrows(),
+                                                                s.ncols());
+                if (g.adds > 0)
+                    core::add_update<SR>(*A_, delta.owned_adds, cfg_.pool);
+                if (g.merges > 0)
+                    core::merge_update(*A_, delta.owned_merges, cfg_.pool);
+                if (g.masks > 0)
+                    core::mask_delete(*A_, delta.owned_masks, cfg_.pool);
                 ++version_;
             }
             e.apply_ms = ms_since(t1);
@@ -367,6 +361,7 @@ public:
                 hook_(delta);
                 e.hook_ms = ms_since(t2);
             }
+            delta = {};  // freed before publication and checkpoints allocate
             if (publish_hook_) {
                 // The subscriber brackets its own Phase::ServePublish (it
                 // also publishes outside the engine, at attach/recovery).
@@ -428,8 +423,6 @@ public:
     [[nodiscard]] const StreamStats& stats() const { return stats_; }
 
 private:
-    using index_t = sparse::index_t;
-
     static double ms_since(Clock::time_point t0) {
         return std::chrono::duration<double, std::milli>(Clock::now() - t0)
             .count();
@@ -453,7 +446,6 @@ private:
     std::uint64_t version_ = 0;  // written under unique snapshot_mx_
 
     std::vector<StreamOp<T>> scratch_;
-    std::vector<sparse::Triple<T>> adds_, merges_, masks_;
     StreamStats stats_;
 
     // Registry instruments (fetched once in the ctor; see there).

@@ -16,6 +16,7 @@
 
 #include "analytics/graph_maintainers.hpp"
 #include "analytics/maintainer.hpp"
+#include "common/grid_shapes.hpp"
 #include "core/dist_test_utils.hpp"
 #include "par/comm.hpp"
 #include "stream/epoch_engine.hpp"
@@ -278,10 +279,15 @@ private:
     std::atomic<std::uint64_t> checked_{0};
 };
 
-TEST(LiveAnalytics, MatchFromScratchRecomputationAfterEveryEpoch) {
+// On every grid shape: the triangle maintainer's mirror goes to a rank
+// other than the transposed one only on rectangular grids.
+class LiveAnalytics : public ::testing::TestWithParam<dsg::test::GridCase> {};
+
+TEST_P(LiveAnalytics, MatchFromScratchRecomputationAfterEveryEpoch) {
     constexpr int kProducers = 2;  // >= 2 concurrent producers per rank
-    par::run_world(kRanks, [&](par::Comm& comm) {
-        core::ProcessGrid grid(comm);
+    const dsg::test::GridCase gc = GetParam();
+    par::run_world(gc.p(), [&](par::Comm& comm) {
+        core::ProcessGrid grid = dsg::test::make_grid(comm, gc);
         const index_t n = 40;
         const std::vector<index_t> sources = {0, 5, 11};
         std::vector<index_t> assignment(static_cast<std::size_t>(n));
@@ -346,5 +352,10 @@ TEST(LiveAnalytics, MatchFromScratchRecomputationAfterEveryEpoch) {
             EXPECT_EQ(hub.stats(k).epochs, engine.stats().applied_epochs);
     });
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    GridShapes, LiveAnalytics,
+    ::testing::ValuesIn(dsg::test::grid_shape_cases_sync_only()),
+    dsg::test::grid_case_name);
 
 }  // namespace

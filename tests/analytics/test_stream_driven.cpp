@@ -9,6 +9,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "analytics/graph_maintainers.hpp"
@@ -263,13 +264,45 @@ TEST(StreamDrivenHub, LocallyEmptyDeltasAndGloballyEmptyEpochs) {
         EXPECT_EQ(hub.stats(0).epochs, 1u);
         EXPECT_EQ(engine.stats().applied_epochs, 1u);
 
-        // A fully empty delta fed directly is a published no-op (the
-        // collective rounds still run on every rank).
+        // A fully empty delta fed directly, with empty owner-side blocks of
+        // the engine's shape, is a published no-op (the collective rounds
+        // still run on every rank).
         stream::EpochDelta<double> empty;
+        empty.owned_adds = core::DistDcsr<double>(grid, n, n);
+        empty.owned_merges = core::DistDcsr<double>(grid, n, n);
+        empty.owned_masks = core::DistDcsr<double>(grid, n, n);
         tri.on_epoch(empty);
         dist.on_epoch(empty);
         EXPECT_DOUBLE_EQ(tri.snapshot(), 0.0);
         EXPECT_NEAR(dist.snapshot(), 3.0, 1e-12);
+        test::expect_matches_exactly(tri.counter().adjacency(),
+                                     undirected({{1, 2}}));
+        comm.barrier();
+    });
+}
+
+// Owner-side blocks cut for another matrix are rejected before any
+// collective, on every rank alike, and leave the maintained state as it was.
+TEST(StreamDrivenHub, MaintainersRejectBlocksOfAnotherShape) {
+    par::run_world(kRanks, [&](par::Comm& comm) {
+        core::ProcessGrid grid(comm);
+        const index_t n = 16;
+        analytics::LiveTriangleMaintainer tri(grid, n);
+        analytics::LiveDistanceMaintainer dist(grid, n, {1});
+        analytics::LiveContractionMaintainer contr(grid, n, 2,
+                                                   std::vector<index_t>(n, 0));
+        tri.seed({{1, 2, 1.0}});
+        stream::EpochDelta<double> other;
+        other.owned_adds = core::DistDcsr<double>(grid, n + 1, n + 1);
+        other.owned_merges = core::DistDcsr<double>(grid, n + 1, n + 1);
+        other.owned_masks = core::DistDcsr<double>(grid, n + 1, n + 1);
+        EXPECT_THROW(tri.on_epoch(other), std::invalid_argument);
+        EXPECT_THROW(dist.on_epoch(other), std::invalid_argument);
+        EXPECT_THROW(contr.on_epoch(other), std::invalid_argument);
+        // A delta whose blocks were never set (the WAL hook's) is rejected
+        // too.
+        EXPECT_THROW(tri.on_epoch(stream::EpochDelta<double>{}),
+                     std::invalid_argument);
         test::expect_matches_exactly(tri.counter().adjacency(),
                                      undirected({{1, 2}}));
         comm.barrier();

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <mutex>
 #include <random>
+#include <span>
 
 #include "common/grid_shapes.hpp"
 #include "core/redistribute.hpp"
@@ -120,6 +121,51 @@ TEST_P(RedistP, AllTuplesFromOneRank) {
 
 INSTANTIATE_TEST_SUITE_P(GridShapes, RedistP,
                          ::testing::ValuesIn(redist_params()), params_name);
+
+class RedistKindsP : public ::testing::TestWithParam<GridCase> {};
+
+// One exchange of three kinds returns, per kind, exactly what that kind's
+// own redistribute_tuples returns, in the same order (MERGE's last writer
+// and ADD's float sums depend on it), and moves exactly the bytes of the
+// three one-kind exchanges together. One kind is empty on every rank but
+// one, so a segment can be empty while its neighbours are not.
+TEST_P(RedistKindsP, EachKindMatchesItsOwnRedistribution) {
+    const GridCase gc = GetParam();
+    dsg::test::run_case(gc, [&](Comm& c) {
+        ProcessGrid grid = dsg::test::make_grid(c, gc);
+        core::DistDynamicMatrix<double> holder(grid, 37, 23);
+        const DistShape& shape = holder.shape();
+        std::mt19937_64 rng(2000 + static_cast<std::uint64_t>(c.rank()));
+        // Small extents, so coordinates repeat within and across ranks.
+        const std::vector<std::vector<Triple<double>>> lists = {
+            random_triples(rng, 9, 7, 120 + 7 * c.rank()),
+            c.rank() == 0 ? random_triples(rng, 37, 23, 50)
+                          : std::vector<Triple<double>>{},
+            random_triples(rng, 37, 23, 80)};
+        auto alltoall_bytes = [&] {
+            c.barrier();
+            const auto b = c.stats().snapshot().alltoall_bytes;
+            c.barrier();
+            return b;
+        };
+        const auto b0 = alltoall_bytes();
+        std::vector<std::vector<Triple<double>>> each;
+        for (const auto& l : lists)
+            each.push_back(core::redistribute_tuples(grid, shape, l));
+        const auto b1 = alltoall_bytes();
+        const std::vector<std::span<const Triple<double>>> kinds(lists.begin(),
+                                                                 lists.end());
+        const auto together =
+            core::redistribute_kinds<double>(grid, shape, kinds);
+        const auto b2 = alltoall_bytes();
+        EXPECT_EQ(together, each);
+        EXPECT_EQ(b2 - b1, b1 - b0);
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(GridShapes, RedistKindsP,
+                         ::testing::ValuesIn(dsg::test::grid_shape_cases()),
+                         dsg::test::grid_case_name);
 
 TEST(Redistribute, RectangularGridMatchesSingleRankReference) {
     // The regression the rectangular generalization demands: the index math
