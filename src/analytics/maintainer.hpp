@@ -4,10 +4,11 @@
 //
 // A Maintainer owns one derived value (a triangle count, a distance table, a
 // contraction) and keeps it consistent with the stream: at every *applied*
-// epoch the engine hands it the rank's drained ops (stream::EpochDelta) via
-// on_epoch(), which runs collectively on every rank — after the epoch's ops
-// were applied to the matrix and before the engine's reader lock is
-// released. snapshot() is the other half of the contract: a lock-free read
+// epoch the engine hands it a stream::EpochDelta via on_epoch() — the rank's
+// drained ops and the owner-side blocks the engine already routed, so a
+// maintainer starts from those and routes nothing again. on_epoch() runs
+// collectively on every rank — after the epoch's ops were applied to the
+// matrix and before the engine's reader lock is released. snapshot() is the other half of the contract: a lock-free read
 // of the most recently published derived scalar, callable from any thread at
 // any time (reader threads poll it while epochs are being applied).
 //
@@ -47,10 +48,10 @@ public:
     /// Stable display name (also the key in AnalyticsHub::snapshots()).
     [[nodiscard]] virtual const char* name() const = 0;
 
-    /// Collective: folds one applied epoch's local ops into the derived
-    /// value and publishes the new snapshot. Called on every rank of the
-    /// epoch, under the engine's writer lock; delta lists may be empty on
-    /// ranks that drained nothing.
+    /// Collective: folds one applied epoch into the derived value and
+    /// publishes the new snapshot. Called on every rank of the epoch, under
+    /// the engine's writer lock; delta lists and blocks may be empty on
+    /// ranks that drained or own nothing.
     virtual void on_epoch(const stream::EpochDelta<T>& delta) = 0;
 
     /// Lock-free read of the most recently published derived scalar; safe

@@ -154,8 +154,8 @@ TEST(StreamDrivenTriangles, ReAddOfLiveEdgeAndMaskOfAbsentEdgeAreNoops) {
         EXPECT_DOUBLE_EQ(tri.snapshot(), 1.0);
 
         // Re-ADD of a live edge (from a DIFFERENT rank's queue) and a MASK
-        // of an edge that was never inserted: both dissolve in the
-        // membership round; the adjacency stays a 0/1 matrix.
+        // of an edge that was never inserted: both dissolve at the pair's
+        // owners; the adjacency stays a 0/1 matrix.
         if (comm.rank() == 1) {
             ASSERT_TRUE(engine.queue().push({OpKind::Add, {2, 1, 1.0}}));
         }
