@@ -11,9 +11,8 @@
 // DSG_BENCH_JSON=<path> every cell is recorded as one JSON object;
 // DSG_BENCH_SCALE shrinks the per-producer write budget (see
 // docs/BENCHMARKS.md).
-#include <atomic>
+#include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "analytics/graph_maintainers.hpp"
@@ -97,35 +96,23 @@ Cell run_cell(const MaintainerSet& set, std::size_t epoch_batch) {
         cfg.epoch_deadline = std::chrono::milliseconds(10);
         Engine engine(A, cfg);
         if (hub.size() > 0) hub.attach(engine);
-        for (int prod = 0; prod < kProducers; ++prod)
-            engine.queue().register_producer();
 
-        std::atomic<std::uint64_t> polls{0};
+        std::vector<std::uint64_t> polls(kProducers);  // per producer
         const double elapsed_ms = timed_ms(comm, [&] {
-            std::vector<std::thread> producers;
-            producers.reserve(kProducers);
-            for (int prod = 0; prod < kProducers; ++prod) {
-                producers.emplace_back([&, prod] {
-                    std::uint64_t my_polls = 0;
-                    stream::drive_producer(
-                        engine, stream::WorkloadProducer(wl, prod),
-                        [&](index_t, index_t) {
-                            for (std::size_t k = 0; k < hub.size(); ++k)
-                                (void)hub[k].snapshot();
-                            ++my_polls;
-                        });
-                    polls.fetch_add(my_polls);
+            stream::run_producers(
+                engine, wl, kProducers, [&](int p, index_t, index_t) {
+                    for (std::size_t k = 0; k < hub.size(); ++k)
+                        (void)hub[k].snapshot();
+                    ++polls[static_cast<std::size_t>(p)];
                 });
-            }
-            engine.run();
-            for (auto& t : producers) t.join();
         });
 
         const auto total_ops = comm.allreduce<std::uint64_t>(
             engine.stats().local_ops,
             [](std::uint64_t a, std::uint64_t b) { return a + b; });
         const auto total_polls = comm.allreduce<std::uint64_t>(
-            polls.load(), [](std::uint64_t a, std::uint64_t b) { return a + b; });
+            std::accumulate(polls.begin(), polls.end(), std::uint64_t{0}),
+            [](std::uint64_t a, std::uint64_t b) { return a + b; });
 
         if (comm.rank() == 0) {
             const auto& s = engine.stats();

@@ -35,6 +35,7 @@
 #include "analytics/graph_maintainers.hpp"
 #include "analytics/maintainer.hpp"
 #include "bench_common.hpp"
+#include "serve/load_gen.hpp"
 #include "serve/query_executor.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/snapshot_store.hpp"
@@ -96,21 +97,7 @@ const Mix kMixes[] = {
      [](std::uint64_t, index_t row, index_t) {
          return serve::Query{serve::QueryKind::KHop, row, 0, 2, ""};
      }},
-    {"mixed",
-     [](std::uint64_t k, index_t row, index_t col) {
-         switch (k % 4) {
-             case 0:
-                 return serve::Query{serve::QueryKind::EdgeExists, row, col,
-                                     1, ""};
-             case 1:
-                 return serve::Query{serve::QueryKind::Degree, row, 0, 1, ""};
-             case 2:
-                 return serve::Query{serve::QueryKind::KHop, row, 0, 2, ""};
-             default:
-                 return serve::Query{serve::QueryKind::AnalyticsRead, 0, 0, 1,
-                                     "triangles"};
-         }
-     }},
+    {"mixed", serve::mixed_query},
 };
 
 struct SweepCell {
@@ -162,30 +149,21 @@ SweepCell run_sweep_cell(const Mix& mix, std::uint64_t publish_every,
         wl.writes = writes_per_producer();
         wl.seed = 51 + static_cast<std::uint64_t>(comm.rank());
 
-        for (int prod = 0; prod < kProducers; ++prod)
-            engine.queue().register_producer();
-
+        // Per producer: the latencies it measured (their count is its k).
+        std::vector<std::vector<double>> mine(kProducers);
         const double elapsed_ms = timed_ms(comm, [&] {
-            std::vector<std::thread> producers;
-            producers.reserve(kProducers);
-            for (int prod = 0; prod < kProducers; ++prod) {
-                producers.emplace_back([&, prod] {
-                    std::vector<double> mine;
-                    std::uint64_t k = 0;
-                    stream::drive_producer(
-                        engine, stream::WorkloadProducer(wl, prod),
-                        [&](index_t row, index_t col) {
-                            const auto r = ex.execute(mix.make(k++, row, col));
-                            mine.push_back(r.latency_us);
-                        });
-                    std::lock_guard lock(lat_mx);
-                    latencies.insert(latencies.end(), mine.begin(),
-                                     mine.end());
+            stream::run_producers(
+                engine, wl, kProducers, [&](int p, index_t row, index_t col) {
+                    auto& lat = mine[static_cast<std::size_t>(p)];
+                    lat.push_back(
+                        ex.execute(mix.make(lat.size(), row, col)).latency_us);
                 });
-            }
-            engine.run();
-            for (auto& t : producers) t.join();
         });
+        {
+            std::lock_guard lock(lat_mx);
+            for (const auto& lat : mine)
+                latencies.insert(latencies.end(), lat.begin(), lat.end());
+        }
 
         const auto total_ops = comm.allreduce<std::uint64_t>(
             engine.stats().local_ops,
@@ -270,9 +248,6 @@ IsolationCell run_isolation_cell(ReaderMode mode) {
         wl.writes = isolation_writes_per_producer();
         wl.seed = 91 + static_cast<std::uint64_t>(comm.rank());
 
-        for (int prod = 0; prod < kProducers; ++prod)
-            engine.queue().register_producer();
-
         std::atomic<bool> done{false};
         std::vector<std::thread> readers;
         if (mode != ReaderMode::None) {
@@ -306,17 +281,8 @@ IsolationCell run_isolation_cell(ReaderMode mode) {
         }
 
         const double elapsed_ms = timed_ms(comm, [&] {
-            std::vector<std::thread> producers;
-            producers.reserve(kProducers);
-            for (int prod = 0; prod < kProducers; ++prod) {
-                producers.emplace_back([&, prod] {
-                    stream::drive_producer(
-                        engine, stream::WorkloadProducer(wl, prod),
-                        [](index_t, index_t) {});
-                });
-            }
-            engine.run();
-            for (auto& t : producers) t.join();
+            stream::run_producers(engine, wl, kProducers,
+                                  [](int, index_t, index_t) {});
         });
         done.store(true, std::memory_order_release);
         for (auto& t : readers) t.join();

@@ -15,7 +15,6 @@
 
 #include <filesystem>
 #include <optional>
-#include <thread>
 
 #include "bench_common.hpp"
 #include "persist/durability.hpp"
@@ -81,18 +80,9 @@ IngestResult run_ingest_once(const std::filesystem::path& dir,
             mgr.emplace(engine, A, pc, Manager::Start::Fresh);
         }
 
-        for (int prod = 0; prod < kProducers; ++prod)
-            engine.queue().register_producer();
         const double ms = timed_ms(comm, [&] {
-            std::vector<std::thread> producers;
-            for (int prod = 0; prod < kProducers; ++prod)
-                producers.emplace_back([&, prod] {
-                    stream::drive_producer(
-                        engine, stream::WorkloadProducer(wl, prod),
-                        [](index_t, index_t) {});
-                });
-            engine.run();
-            for (auto& t : producers) t.join();
+            stream::run_producers(engine, wl, kProducers,
+                                  [](int, index_t, index_t) {});
         });
         if (comm.rank() == 0) {
             out.wall_ms = ms;

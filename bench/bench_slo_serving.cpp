@@ -65,26 +65,6 @@ std::vector<Triple<double>> initial_slice(int rank) {
     return mine;
 }
 
-/// The k-th arrival's query: the mixed rotation of bench_query_serving,
-/// keys walked pseudo-randomly so cache hits come from key reuse, not a
-/// degenerate single key.
-serve::Query make_query(std::uint64_t k, index_t n) {
-    std::uint64_t x = k * 6364136223846793005ull + 1442695040888963407ull;
-    const auto row =
-        static_cast<index_t>((x >> 17) % static_cast<std::uint64_t>(n));
-    const auto col =
-        static_cast<index_t>((x >> 41) % static_cast<std::uint64_t>(n));
-    switch (k % 4) {
-        case 0:
-            return serve::Query{serve::QueryKind::EdgeExists, row, col, 1, ""};
-        case 1: return serve::Query{serve::QueryKind::Degree, row, 0, 1, ""};
-        case 2: return serve::Query{serve::QueryKind::KHop, row, 0, 2, ""};
-        default:
-            return serve::Query{serve::QueryKind::AnalyticsRead, 0, 0, 1,
-                                "triangles"};
-    }
-}
-
 /// JSON-safe field suffix for a query class ("k-hop" -> "k_hop").
 std::string class_field(const char* prefix, serve::QueryKind kind) {
     std::string s = prefix;
@@ -133,8 +113,9 @@ SloCell run_slo_cell(double target_qps) {
         lg.target_qps = target_qps;
         lg.total = arrivals_per_cell();
         lg.slo_ms = kSloMs;
-        cell.rep = serve::run_paced(
-            ex, lg, [&](std::uint64_t k) { return make_query(k, n); });
+        cell.rep = serve::run_paced(ex, lg, [&](std::uint64_t k) {
+            return serve::paced_query(k, n);
+        });
     });
 
     par::run_world(kRanks, [&](par::Comm& comm) {
@@ -157,20 +138,9 @@ SloCell run_slo_cell(double target_qps) {
         wl.writes = writes_per_producer();
         wl.seed = 51 + static_cast<std::uint64_t>(comm.rank());
 
-        for (int prod = 0; prod < kProducers; ++prod)
-            engine.queue().register_producer();
-
         const double elapsed_ms = timed_ms(comm, [&] {
-            std::vector<std::thread> producers;
-            producers.reserve(kProducers);
-            for (int prod = 0; prod < kProducers; ++prod)
-                producers.emplace_back([&, prod] {
-                    stream::drive_producer(engine,
-                                           stream::WorkloadProducer(wl, prod),
-                                           [](index_t, index_t) {});
-                });
-            engine.run();
-            for (auto& t : producers) t.join();
+            stream::run_producers(engine, wl, kProducers,
+                                  [](int, index_t, index_t) {});
         });
 
         const auto total_ops = comm.allreduce<std::uint64_t>(

@@ -66,25 +66,13 @@ Cell run_cell(stream::Scenario scenario, std::size_t epoch_batch) {
         cfg.epoch_batch = epoch_batch;
         cfg.epoch_deadline = std::chrono::milliseconds(10);
         Engine engine(A, cfg);
-        for (int prod = 0; prod < kProducers; ++prod)
-            engine.queue().register_producer();
 
         const double elapsed_ms = timed_ms(comm, [&] {
-            std::vector<std::thread> producers;
-            producers.reserve(kProducers);
-            for (int prod = 0; prod < kProducers; ++prod) {
-                producers.emplace_back([&, prod] {
-                    stream::drive_producer(
-                        engine, stream::WorkloadProducer(wl, prod),
-                        [&](index_t row, index_t col) {
-                            engine.with_snapshot([&](auto snap) {
-                                return snap.contains(row, col);
-                            });
-                        });
+            stream::run_producers(
+                engine, wl, kProducers, [&](int, index_t row, index_t col) {
+                    engine.with_snapshot(
+                        [&](auto snap) { return snap.contains(row, col); });
                 });
-            }
-            engine.run();
-            for (auto& t : producers) t.join();
         });
 
         const std::size_t nnz = A.global_nnz();  // collective

@@ -89,5 +89,6 @@ int main() {
             std::printf("reachable pairs now: %zu\n", pairs_now);
         }
     });
+    std::printf("shortest paths OK\n");
     return 0;
 }

@@ -23,6 +23,7 @@ int main() {
     constexpr std::size_t kEdges = 6000;
     constexpr int kBatches = 4;
 
+    bool matched = true;  // rank 0's view: every batch agreed with a recount
     par::run_world(kRanks, [&](par::Comm& comm) {
         core::ProcessGrid grid(comm);
         const sparse::index_t n = sparse::index_t{1} << kScale;
@@ -81,6 +82,7 @@ int main() {
                     .count();
 
             if (comm.rank() == 0) {
+                matched = matched && tri == tri_static;
                 std::printf(
                     "batch %d (+%zu edges): %.0f triangles | dynamic %.1f ms, "
                     "static recount %.1f ms%s\n",
@@ -89,5 +91,7 @@ int main() {
             }
         }
     });
+    if (!matched) return 1;
+    std::printf("triangle counting OK\n");
     return 0;
 }

@@ -73,5 +73,6 @@ int main() {
                     total_weight);
         }
     });
+    std::printf("graph contraction OK\n");
     return 0;
 }

@@ -92,5 +92,6 @@ int main() {
                         static_cast<double>(dyn_bytes == 0 ? 1 : dyn_bytes));
         }
     });
+    std::printf("quickstart OK\n");
     return 0;
 }

@@ -9,31 +9,33 @@
 // additionally issues point reads through the engine's consistent reader
 // snapshot while epochs are being applied.
 //
-// The final section is the live analytics layer (src/analytics/): an
-// AnalyticsHub with a live triangle count and a live multi-source distance
-// maintainer subscribes to the engine's epoch boundaries, and the
-// analytics-read scenario's readers poll the derived values while ingestion
-// is in full flight.
+// Every other run is one pipeline, built in one fixed order on a fresh
+// 1024-vertex matrix: an AnalyticsHub (live triangle count, live distances
+// from sources 0-3) subscribed to the engine's epoch boundaries, then the
+// optional recovery, snapshot store and durability, then the introspection
+// hooks and the producers. The three hub modes differ only in their
+// scenario, what a read does and which optional parts they add:
 //
-// With --checkpoint-dir=DIR the program instead runs the durable variant:
-// the live-analytics hub streams under a persist::DurabilityManager
-// (write-ahead op log + epoch-consistent checkpoints), so a kill -9 at ANY
-// point is recoverable. Adding --restore first recovers matrix, version,
-// and maintained analytics from DIR and then continues streaming on top —
-// the kill-and-resume demo the CI crash-recovery job drives:
+//   (no flags)         after the five scenarios above, the analytics-read
+//                      scenario, whose reads poll the derived values;
+//   --checkpoint-dir   the checkpoint-under-load scenario under a
+//                      persist::DurabilityManager (write-ahead op log +
+//                      epoch-consistent checkpoints), so a kill -9 at ANY
+//                      point is recoverable; --restore first recovers
+//                      matrix, version and analytics from DIR and then
+//                      continues streaming on top (the CI crash drill):
 //
-//   ./example_streaming_ingest --checkpoint-dir=/tmp/d --writes=200000 &
-//   kill -9 $!; ./example_streaming_ingest --checkpoint-dir=/tmp/d --restore
+//     ./example_streaming_ingest --checkpoint-dir=/tmp/d --writes=200000 &
+//     kill -9 $!; ./example_streaming_ingest --checkpoint-dir=/tmp/d --restore
 //
-// With --serve-queries the program runs the query-serving tier (src/serve/)
-// instead: a SnapshotStore publishes immutable snapshots at epoch
-// boundaries while producers stream the serving-read-heavy scenario, and
-// every read becomes a typed query (edge-exists / degree / k-hop /
-// analytics-read) submitted to a shared QueryExecutor with a result cache
-// — rate-limited by --query-rate=N (queries/s per producer thread).
-// Serving composes with durability: --serve-queries --checkpoint-dir=DIR
-// --restore recovers first and serves straight from the restored state
-// (the initial snapshot IS the recovered matrix + analytics).
+//   --serve-queries    the serving-read-heavy scenario: a SnapshotStore
+//                      publishes immutable snapshots at epoch boundaries and
+//                      every read becomes a typed query (edge-exists /
+//                      degree / k-hop / analytics-read) submitted to a
+//                      shared QueryExecutor with a result cache, at
+//                      --query-rate=N queries/s per producer thread. It
+//                      composes with --checkpoint-dir and --restore; after
+//                      a restore the initial snapshot IS the recovered state.
 //
 // --target-qps=N adds an external paced client to the serving run: a
 // coordinated-omission-safe load generator (serve/load_gen.hpp) submits
@@ -44,14 +46,15 @@
 // scripts/check-trace.py validates both.
 //
 // --http-port=N (0 = ephemeral, bound port printed on stdout) raises the
-// live introspection plane (obs/introspection.hpp): rank 0 serves the
-// federated cluster view — /metrics, /metrics.json, /healthz, /readyz,
-// /status, /trace, /events, /flight — and in serving mode every other
-// rank serves its own per-rank view on an ephemeral port.
-// --induce-stall-ms=MS arms the CI readiness drill: a one-shot mid-run
-// checkpoint stall (non-durable runs) or a post-recovery hold (restore
-// runs) that flips /readyz 200 -> 503 -> 200; scripts/check-endpoints.py
-// validates all of it.
+// live introspection plane (obs/introspection.hpp) over any hub mode: rank
+// 0 serves the federated cluster view (/metrics, /metrics.json, /healthz,
+// /readyz, /status, /trace, /events, /flight), every other rank serves its
+// own per-rank view on an ephemeral port, and the ranks federate every 4
+// versions. --induce-stall-ms=MS arms the readiness drills: after --restore,
+// a hold before the readiness gate opens; otherwise, on runs without
+// --checkpoint-dir, a one-shot mid-run checkpoint-hook stall that flips
+// /readyz 200 -> 503 -> 200. scripts/crash-recovery-test.sh and
+// scripts/check-endpoints.py validate both.
 //
 // Run: ./build/examples/example_streaming_ingest
 #include <algorithm>
@@ -62,6 +65,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -91,8 +96,10 @@
 #include "stream/workloads.hpp"
 
 using namespace dsg;
+using sparse::index_t;
 using SR = sparse::PlusTimes<double>;
 using Engine = stream::EpochEngine<SR>;
+using Hub = analytics::AnalyticsHub<double>;
 
 namespace {
 
@@ -101,38 +108,67 @@ constexpr int kProducers = 2;  // per rank
 constexpr int kScale = 12;     // 4096 vertices
 constexpr std::size_t kInitialEdges = 40'000;
 constexpr std::size_t kWritesPerProducer = 6'000;
-constexpr std::size_t kQueueCapacity = 4'096;  // every mode's engine ring
+constexpr std::size_t kQueueCapacity = 4'096;  // every engine's ring
+constexpr index_t kHubN = 1024;                // the hub modes' matrix
 
-/// Rank 0's /metrics view: the latest federated cluster snapshot, swapped
-/// in whole by the epoch observer and read by the HTTP worker threads.
-class FederatedView {
-public:
-    void set(obs::MetricsSnapshot snap) {
-        auto p = std::make_shared<const obs::MetricsSnapshot>(std::move(snap));
-        std::lock_guard lock(mx_);
-        snap_ = std::move(p);
-    }
-    [[nodiscard]] std::shared_ptr<const obs::MetricsSnapshot> get() const {
-        std::lock_guard lock(mx_);
-        return snap_;
-    }
+/// The serving tier is process-wide: one store, cache, flight recorder and
+/// executor shared by every rank's producers (ranks are threads).
+struct ServingTier {
+    serve::SnapshotStore<double> store{{.publish_every = 4, .retain = 3}};
+    serve::ResultCache cache;
+    serve::FlightRecorder recorder{16};
+    serve::QueryExecutor<double> executor;
 
-private:
-    mutable std::mutex mx_;
-    std::shared_ptr<const obs::MetricsSnapshot> snap_;
+    /// `background`: the admission-controlled path a paced client needs;
+    /// the producers' fire-and-forget queries work either way.
+    explicit ServingTier(bool background)
+        : executor(store, {.pending_capacity = 4'096,
+                           .deadline = std::chrono::milliseconds(250),
+                           .background = background,
+                           .cache = &cache,
+                           .recorder = &recorder}) {
+        store.set_cache(&cache);
+    }
 };
 
-/// What the streaming modes feed back into the introspection plane
-/// (--http-port): shared across the rank threads, so plain atomics.
-struct IntroContext {
-    obs::IntrospectionServer* server = nullptr;  ///< rank 0's, started in main
-    FederatedView* fed_view = nullptr;
-    obs::Watchdog* fed_watchdog = nullptr;  ///< skew rules, federated snaps
+/// The introspection plane (--http-port), shared by the rank threads: the
+/// skew watchdog run on each federated snapshot, the newest federated
+/// snapshot (swapped in whole by rank 0's epoch observer, read by the HTTP
+/// workers), what /status and the stall drill read, and rank 0's server,
+/// declared last so it drains before the rest is destroyed.
+struct Intro {
+    obs::Watchdog fed_watchdog{
+        obs::registry(), obs::EventLog::global(),
+        {{"rank-load-imbalance", "stream_ops_applied_rank_imbalance",
+          obs::RuleKind::GaugeAbove, 2.0, obs::HistField::P99, 3, 2,
+          obs::Severity::Warning}}};
+    std::atomic<std::shared_ptr<const obs::MetricsSnapshot>> fed;
     std::atomic<std::uint64_t> engine_version{0};  ///< newest applied version
     std::atomic<std::uint64_t> federations{0};     ///< merges completed
     std::atomic<std::uint64_t> stall_at{0};  ///< version pinned for the stall
     long stall_ms = 0;                       ///< --induce-stall-ms
+    obs::IntrospectionServer server;
 };
+
+/// What a read event does in a hub mode: the rank's hub, the reading
+/// producer's read count so far, and the key the read carries.
+using OnRead = std::function<void(const Hub&, std::uint64_t, index_t, index_t)>;
+
+/// A hub mode as data. Everything else is the same pipeline.
+struct HubMode {
+    const char* title = "";
+    stream::WorkloadConfig wl;  ///< seed without the rank
+    std::string dir;            ///< --checkpoint-dir; empty = not durable
+    bool restore = false;
+    ServingTier* serving = nullptr;
+    OnRead on_read;
+};
+
+/// An analytics read polls the derived values (lock-free) instead of
+/// point-probing the matrix.
+void poll_hub(const Hub& hub, std::uint64_t, index_t, index_t) {
+    for (std::size_t k = 0; k < hub.size(); ++k) (void)hub[k].snapshot();
+}
 
 /// Streams one scenario into A and reports this rank's engine stats.
 void run_scenario(par::Comm& comm, core::DistDynamicMatrix<double>& A,
@@ -148,148 +184,59 @@ void run_scenario(par::Comm& comm, core::DistDynamicMatrix<double>& A,
     // A small ring so producers feel backpressure and epochs interleave with
     // pushes (reads then observe earlier writes; hits are bounded by the
     // 1/p block-ownership fraction — readers only see their rank's block).
-    cfg.queue_capacity = 4'096;
+    cfg.queue_capacity = kQueueCapacity;
     cfg.epoch_batch = 2'000;
     cfg.epoch_deadline = std::chrono::milliseconds(5);
     Engine engine(A, cfg);
 
-    // Register before spawning so the queue cannot close early.
-    for (int prod = 0; prod < kProducers; ++prod)
-        engine.queue().register_producer();
-
-    std::atomic<std::uint64_t> read_probes{0}, read_hits{0};
-    std::vector<std::thread> producers;
-    producers.reserve(kProducers);
-    for (int prod = 0; prod < kProducers; ++prod) {
-        producers.emplace_back([&, prod] {
-            std::uint64_t probes = 0, hits = 0;
-            stream::drive_producer(
-                engine, stream::WorkloadProducer(wl, prod),
-                [&](sparse::index_t row, sparse::index_t col) {
-                    ++probes;
-                    hits += engine.with_snapshot([&](auto snap) {
-                        return snap.contains(row, col) ? 1u : 0u;
-                    });
-                });
-            read_probes.fetch_add(probes);
-            read_hits.fetch_add(hits);
+    std::vector<std::uint64_t> probes(kProducers), hits(kProducers);
+    stream::run_producers(
+        engine, wl, kProducers, [&](int p, index_t row, index_t col) {
+            const auto q = static_cast<std::size_t>(p);
+            ++probes[q];
+            hits[q] += engine.with_snapshot(
+                [&](auto snap) { return snap.contains(row, col) ? 1u : 0u; });
         });
-    }
-
-    engine.run();  // collective: pumps epochs until all queues are exhausted
-    for (auto& t : producers) t.join();
 
     const std::size_t nnz = A.global_nnz();  // collective
     if (comm.rank() == 0) {
-        const auto& s = engine.stats();
         std::printf("%-22s %s\n", stream::scenario_name(scenario),
-                    s.summary().c_str());
+                    engine.stats().summary().c_str());
         std::printf("%-22s   nnz now %zu", "", nnz);
-        const std::uint64_t probes = read_probes.load();
-        if (probes > 0)
-            std::printf(", reads %llu (%.0f%% hit)",
-                        static_cast<unsigned long long>(probes),
-                        100.0 * static_cast<double>(read_hits.load()) /
-                            static_cast<double>(probes));
+        const auto all = std::accumulate(probes.begin(), probes.end(), 0ull);
+        if (all > 0)
+            std::printf(", reads %llu (%.0f%% hit)", all,
+                        100.0 *
+                            static_cast<double>(std::accumulate(
+                                hits.begin(), hits.end(), 0ull)) /
+                            static_cast<double>(all));
         std::printf("\n");
     }
 }
 
-/// The live analytics layer: a fresh matrix streamed under the
-/// analytics-read scenario while a hub of maintainers — live triangle count
-/// and live multi-source distances — is driven at every epoch boundary, and
-/// reader polls sample the derived values concurrently with ingestion.
-void run_live_analytics(par::Comm& comm, core::ProcessGrid& grid) {
-    const sparse::index_t n = 1024;
-    const std::vector<sparse::index_t> sources = {0, 1, 2, 3};
-    core::DistDynamicMatrix<double> B(grid, n, n);
-
-    analytics::AnalyticsHub<double> hub;
-    auto& triangles = hub.emplace<analytics::LiveTriangleMaintainer>(grid, n);
-    auto& distances =
-        hub.emplace<analytics::LiveDistanceMaintainer>(grid, n, sources);
-
-    stream::WorkloadConfig wl;
-    wl.scenario = stream::Scenario::AnalyticsRead;
-    wl.n = n;
-    wl.writes = 3'000;
-    wl.window = 400;
-    wl.read_fraction = 0.3;
-    wl.seed = 7'000 + static_cast<std::uint64_t>(comm.rank());
+/// The one pipeline of every hub mode, on one rank, built in this order:
+/// matrix -> hub -> recovery (restore) -> engine at the recovered version ->
+/// hub.attach -> store.attach (serving) -> durability (dir) ->
+/// introspection hooks (intro) -> producers -> report.
+void run_hub(par::Comm& comm, core::ProcessGrid& grid, const HubMode& mode,
+             Intro* intro) {
+    using Manager = persist::DurabilityManager<SR>;
+    core::DistDynamicMatrix<double> B(grid, kHubN, kHubN);
+    Hub hub;
+    auto& triangles =
+        hub.emplace<analytics::LiveTriangleMaintainer>(grid, kHubN);
+    hub.emplace<analytics::LiveDistanceMaintainer>(
+        grid, kHubN, std::vector<index_t>{0, 1, 2, 3});
 
     stream::EngineConfig cfg;
-    cfg.queue_capacity = 4'096;
+    cfg.queue_capacity = kQueueCapacity;
     cfg.epoch_batch = 1'024;
     cfg.epoch_deadline = std::chrono::milliseconds(5);
-    Engine engine(B, cfg);
-    hub.attach(engine);
-
-    for (int prod = 0; prod < kProducers; ++prod)
-        engine.queue().register_producer();
-
-    std::atomic<std::uint64_t> polls{0};
-    std::vector<std::thread> producers;
-    producers.reserve(kProducers);
-    for (int prod = 0; prod < kProducers; ++prod) {
-        producers.emplace_back([&, prod] {
-            std::uint64_t my_polls = 0;
-            stream::drive_producer(
-                engine, stream::WorkloadProducer(wl, prod),
-                [&](sparse::index_t, sparse::index_t) {
-                    // An analytics-read "read" polls the derived values
-                    // (lock-free) instead of point-probing the matrix.
-                    (void)triangles.snapshot();
-                    (void)distances.snapshot();
-                    ++my_polls;
-                });
-            polls.fetch_add(my_polls);
-        });
-    }
-
-    engine.run();  // collective; drives the hub at every applied epoch
-    for (auto& t : producers) t.join();
-
-    const std::size_t nnz = B.global_nnz();  // collective
-    if (comm.rank() == 0) {
-        std::printf("\nlive analytics (%s):\n",
-                    stream::scenario_name(wl.scenario));
-        std::printf("  %s\n", engine.stats().summary().c_str());
-        std::printf("  matrix nnz %zu, derived-value polls %llu\n", nnz,
-                    static_cast<unsigned long long>(polls.load()));
-        for (std::size_t k = 0; k < hub.size(); ++k) {
-            const auto& st = hub.stats(k);
-            std::printf(
-                "  %-18s value %10.1f   per epoch: mean %6.2f ms, "
-                "max %6.2f ms\n",
-                hub[k].name(), hub[k].snapshot(), st.mean_ms(), st.max_ms);
-        }
-        std::printf("  distances reached %llu (source,vertex) pairs\n",
-                    static_cast<unsigned long long>(distances.reached_pairs()));
-    }
-}
-
-/// The durable variant: the live-analytics hub under a DurabilityManager.
-/// With restore == true, state is first recovered from `dir` (kill-and-
-/// resume); the run then continues appending to the same durable state.
-void run_durable(par::Comm& comm, core::ProcessGrid& grid,
-                 const std::string& dir, bool restore, std::size_t writes,
-                 IntroContext* intro) {
-    using Manager = persist::DurabilityManager<SR>;
-    const sparse::index_t n = 1024;
-    const std::vector<sparse::index_t> sources = {0, 1, 2, 3};
-    core::DistDynamicMatrix<double> B(grid, n, n);
-
-    analytics::AnalyticsHub<double> hub;
-    auto& triangles = hub.emplace<analytics::LiveTriangleMaintainer>(grid, n);
-    auto& distances =
-        hub.emplace<analytics::LiveDistanceMaintainer>(grid, n, sources);
-
-    std::uint64_t base_version = 0;
-    if (restore) {
+    if (mode.restore) {
         persist::RecoveryOptions ropts;
-        ropts.dir = dir;
+        ropts.dir = mode.dir;
         const auto res = persist::recover<SR>(B, ropts, &hub);
-        base_version = res.recovered_version;
+        cfg.initial_version = res.recovered_version;
         const std::size_t nnz = B.global_nnz();  // collective
         if (comm.rank() == 0)
             std::printf(
@@ -302,154 +249,27 @@ void run_durable(par::Comm& comm, core::ProcessGrid& grid,
                 res.truncated_tail ? ", torn tail truncated" : "",
                 nnz, triangles.snapshot());
     }
-
-    stream::WorkloadConfig wl;
-    wl.scenario = stream::Scenario::CheckpointUnderLoad;
-    wl.n = n;
-    wl.writes = writes;
-    wl.window = 600;
-    wl.seed = 11'000 + static_cast<std::uint64_t>(comm.rank()) +
-              (restore ? 7'777 : 0);
-
-    stream::EngineConfig cfg;
-    cfg.queue_capacity = 4'096;
-    cfg.epoch_batch = 1'024;
-    cfg.epoch_deadline = std::chrono::milliseconds(5);
-    cfg.initial_version = base_version;
     Engine engine(B, cfg);
     hub.attach(engine);
-
-    if (intro != nullptr) {
-        engine.add_epoch_observer([intro, r = comm.rank()](std::uint64_t v) {
-            if (r == 0) intro->engine_version.store(v, std::memory_order_relaxed);
-        });
-        if (restore) {
-            // Hold the /readyz gate down through replay (plus the drill's
-            // configured stall window): the crash-recovery script asserts
-            // 503 here, then 200 once streaming resumes.
-            if (intro->stall_ms > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(intro->stall_ms));
-            if (comm.rank() == 0 && intro->server != nullptr)
-                intro->server->set_ready(true);
-        }
-    }
-
-    persist::PersistConfig pc;
-    pc.dir = dir;
-    pc.fsync_every = 8;
-    pc.checkpoint_stride = 16;
-    Manager mgr(engine, B, pc, restore ? Manager::Start::Resume
-                                       : Manager::Start::Fresh,
-                &hub);
-
-    for (int prod = 0; prod < kProducers; ++prod)
-        engine.queue().register_producer();
-    std::vector<std::thread> producers;
-    producers.reserve(kProducers);
-    for (int prod = 0; prod < kProducers; ++prod) {
-        producers.emplace_back([&, prod] {
-            stream::drive_producer(engine, stream::WorkloadProducer(wl, prod),
-                                   [&](sparse::index_t, sparse::index_t) {
-                                       (void)triangles.snapshot();
-                                       (void)distances.snapshot();
-                                   });
-        });
-    }
-    engine.run();  // collective; every applied epoch is logged write-ahead
-    for (auto& t : producers) t.join();
-
-    const std::size_t nnz = B.global_nnz();  // collective
-    if (comm.rank() == 0) {
-        const auto& ps = mgr.stats();
-        std::printf("durable streaming (%s):\n  %s\n",
-                    stream::scenario_name(wl.scenario),
-                    engine.stats().summary().c_str());
-        std::printf(
-            "  nnz %zu, triangles %.0f, distance-sum %.1f\n"
-            "  durability: %llu epochs logged (%.1f KiB), %llu fsyncs, "
-            "%llu checkpoints (%.1f KiB), log %.1f ms, ckpt %.1f ms\n",
-            nnz, triangles.snapshot(), distances.snapshot(),
-            static_cast<unsigned long long>(ps.epochs_logged),
-            static_cast<double>(ps.bytes_logged) / 1024.0,
-            static_cast<unsigned long long>(ps.fsyncs),
-            static_cast<unsigned long long>(ps.checkpoints),
-            static_cast<double>(ps.checkpoint_bytes) / 1024.0, ps.log_ms,
-            ps.checkpoint_ms);
-        std::printf("durable run OK\n");
-    }
-}
-
-/// The query-serving tier: producers stream the serving-read-heavy scenario
-/// while every read becomes a typed query against the shared SnapshotStore
-/// through the QueryExecutor — rate-limited per producer so the serving
-/// side models user traffic, not a spin loop. With restore == true, state
-/// is recovered from `dir` first and the store's initial snapshot IS the
-/// recovered matrix + analytics (serving works straight after recovery);
-/// with a non-empty `dir` the run is also durable while it serves.
-void run_serving(par::Comm& comm, core::ProcessGrid& grid,
-                 serve::SnapshotStore<double>& store,
-                 serve::QueryExecutor<double>& executor,
-                 const std::string& dir, bool restore, std::size_t writes,
-                 double query_rate, IntroContext* intro) {
-    using Manager = persist::DurabilityManager<SR>;
-    const sparse::index_t n = 1024;
-    const std::vector<sparse::index_t> sources = {0, 1, 2, 3};
-    core::DistDynamicMatrix<double> B(grid, n, n);
-
-    analytics::AnalyticsHub<double> hub;
-    auto& triangles = hub.emplace<analytics::LiveTriangleMaintainer>(grid, n);
-    hub.emplace<analytics::LiveDistanceMaintainer>(grid, n, sources);
-
-    std::uint64_t base_version = 0;
-    if (restore) {
-        persist::RecoveryOptions ropts;
-        ropts.dir = dir;
-        const auto res = persist::recover<SR>(B, ropts, &hub);
-        base_version = res.recovered_version;
-        if (comm.rank() == 0)
-            std::printf(
-                "recovery OK: serving from restored version %llu "
-                "(triangles %.0f)\n",
-                static_cast<unsigned long long>(res.recovered_version),
-                triangles.snapshot());
-    }
-
-    stream::WorkloadConfig wl;
-    wl.scenario = stream::Scenario::ServingReadHeavy;
-    wl.n = n;
-    wl.writes = writes;
-    wl.seed = 15'000 + static_cast<std::uint64_t>(comm.rank()) +
-              (restore ? 7'777 : 0);
-
-    stream::EngineConfig cfg;
-    cfg.queue_capacity = 4'096;
-    cfg.epoch_batch = 1'024;
-    cfg.epoch_deadline = std::chrono::milliseconds(5);
-    cfg.initial_version = base_version;
-    Engine engine(B, cfg);
-    hub.attach(engine);
-    store.attach(engine, B, &hub);  // initial snapshot: the starting state
-
-    std::unique_ptr<Manager> mgr;
-    if (!dir.empty()) {
+    if (mode.serving != nullptr)
+        mode.serving->store.attach(engine, B, &hub);  // initial snapshot
+    std::optional<Manager> mgr;
+    if (!mode.dir.empty()) {
         persist::PersistConfig pc;
-        pc.dir = dir;
+        pc.dir = mode.dir;
         pc.fsync_every = 8;
         pc.checkpoint_stride = 16;
-        mgr = std::make_unique<Manager>(engine, B, pc,
-                                        restore ? Manager::Start::Resume
-                                                : Manager::Start::Fresh,
-                                        &hub);
+        mgr.emplace(engine, B, pc,
+                    mode.restore ? Manager::Start::Resume
+                                 : Manager::Start::Fresh,
+                    &hub);
     }
 
-    // Live introspection plane (--http-port): every rank mirrors its own
-    // engine-local stats into a small private registry and federates it at
-    // a fixed epoch cadence (collective, obs/federate.hpp). Rank 0 swaps
-    // the merged cluster snapshot into its /metrics view and feeds the
-    // rank-imbalance watchdog; ranks > 0 serve their private view on an
-    // ephemeral port. The process-wide registry and its file exporters
-    // stay untouched. Declaration order matters: rank_server is declared
+    // Introspection: every rank mirrors its own engine-local stats into a
+    // small private registry and federates it every 4 versions (collective,
+    // obs/federate.hpp). Rank 0 swaps the merged cluster snapshot into its
+    // /metrics view and feeds the rank-imbalance watchdog; ranks > 0 serve
+    // their private view on an ephemeral port. rank_server is declared
     // after rank_reg so its drain-on-destruct runs while the registry its
     // handlers read is still alive.
     std::unique_ptr<obs::Registry> rank_reg;
@@ -478,27 +298,29 @@ void run_serving(par::Comm& comm, core::ProcessGrid& grid,
                 .set(static_cast<std::int64_t>(engine.queue().size()));
             if (comm.rank() == 0)
                 intro->engine_version.store(v, std::memory_order_relaxed);
-            if (v % 4 != 0) return;  // federation cadence (identical on
-                                     // every rank: v is the collective
-                                     // epoch version)
+            if (v % 4 != 0) return;  // v is the collective epoch version
             obs::MetricsSnapshot fed = obs::federate(comm, reg->snapshot());
             if (comm.rank() == 0) {
-                if (intro->fed_watchdog != nullptr)
-                    intro->fed_watchdog->evaluate(fed);
-                if (intro->fed_view != nullptr)
-                    intro->fed_view->set(std::move(fed));
+                intro->fed_watchdog.evaluate(fed);
+                intro->fed.store(std::make_shared<const obs::MetricsSnapshot>(
+                    std::move(fed)));
                 intro->federations.fetch_add(1, std::memory_order_relaxed);
             }
         });
-        // The induced checkpoint stall (--induce-stall-ms, non-durable
-        // runs only — durable runs own the checkpoint hook): the first
-        // rank past the arming delay pins the stall to its current
-        // version, and every rank whose hook sees that version sleeps.
-        // Ranks that miss the pin block on the next collective anyway, so
-        // the whole grid stalls once: queues saturate, the Critical
-        // ingest-stall rule fires, /readyz holds 503 until the backlog
-        // drains and the rule clears.
-        if (intro->stall_ms > 0 && dir.empty()) {
+        if (mode.restore) {
+            // Recovery replay held the /readyz gate down; the drill's stall
+            // window holds it a little longer, then streaming resumes.
+            std::this_thread::sleep_for(
+                std::chrono::milliseconds(intro->stall_ms));
+            if (comm.rank() == 0) intro->server.set_ready(true);
+        } else if (intro->stall_ms > 0 && mode.dir.empty()) {
+            // The induced checkpoint stall (durable runs own the checkpoint
+            // hook): the first rank past the arming delay pins the stall to
+            // its current version, and every rank whose hook sees that
+            // version sleeps. Ranks that miss the pin block on the next
+            // collective anyway, so the whole grid stalls once: queues
+            // saturate, the Critical ingest-stall rule fires, /readyz holds
+            // 503 until the backlog drains and the rule clears.
             const auto armed_at = std::chrono::steady_clock::now() +
                                   std::chrono::milliseconds(800);
             engine.set_checkpoint_hook([intro, armed_at](std::uint64_t v) {
@@ -511,62 +333,47 @@ void run_serving(par::Comm& comm, core::ProcessGrid& grid,
                         std::chrono::milliseconds(intro->stall_ms));
             });
         }
-        if (restore) {
-            if (comm.rank() == 0 && intro->server != nullptr)
-                intro->server->set_ready(true);  // recovery replay is done
-        }
     }
 
-    const auto query_gap = std::chrono::microseconds(
-        query_rate > 0 ? static_cast<long>(1e6 / query_rate) : 0);
-    for (int prod = 0; prod < kProducers; ++prod)
-        engine.queue().register_producer();
-    std::vector<std::thread> producers;
-    producers.reserve(kProducers);
-    for (int prod = 0; prod < kProducers; ++prod) {
-        producers.emplace_back([&, prod] {
-            std::uint64_t k = 0;
-            stream::drive_producer(
-                engine, stream::WorkloadProducer(wl, prod),
-                [&](sparse::index_t row, sparse::index_t col) {
-                    serve::Query q;
-                    const std::uint64_t pick = k++;
-                    switch (pick % 4) {
-                        case 0:
-                            q = {serve::QueryKind::EdgeExists, row, col, 1, ""};
-                            break;
-                        case 1:
-                            q = {serve::QueryKind::Degree, row, 0, 1, ""};
-                            break;
-                        case 2:
-                            q = {serve::QueryKind::KHop, row, 0, 2, ""};
-                            break;
-                        default:
-                            q = {serve::QueryKind::AnalyticsRead, 0, 0, 1,
-                                 pick % 8 == 3 ? "triangles"
-                                               : "distance-sum"};
-                            break;
-                    }
-                    (void)executor.submit(std::move(q));  // fire and forget
-                    if (query_gap.count() > 0)
-                        std::this_thread::sleep_for(query_gap);
-                });
+    stream::WorkloadConfig wl = mode.wl;
+    wl.seed += static_cast<std::uint64_t>(comm.rank());
+    std::vector<std::uint64_t> reads(kProducers);  // per producer
+    stream::run_producers(
+        engine, wl, kProducers, [&](int p, index_t row, index_t col) {
+            mode.on_read(hub, reads[static_cast<std::size_t>(p)]++, row, col);
         });
-    }
-    engine.run();  // collective; publishes snapshots at epoch boundaries
-    for (auto& t : producers) t.join();
 
     const std::size_t nnz = B.global_nnz();  // collective
-    comm.barrier();
-    if (comm.rank() == 0) {
-        std::printf("query serving (%s%s):\n  %s\n",
-                    stream::scenario_name(wl.scenario),
-                    restore ? ", restored" : dir.empty() ? "" : ", durable",
-                    engine.stats().summary().c_str());
+    if (comm.rank() != 0) return;
+    std::printf("\n%s (%s%s):\n  %s\n", mode.title,
+                stream::scenario_name(wl.scenario),
+                mode.restore ? ", restored" : mgr ? ", durable" : "",
+                engine.stats().summary().c_str());
+    std::printf("  nnz %zu, reads %llu\n", nnz,
+                std::accumulate(reads.begin(), reads.end(), 0ull));
+    for (std::size_t k = 0; k < hub.size(); ++k)
         std::printf(
-            "  nnz %zu, snapshots published %llu (retained %zu, live %lld), "
+            "  %-18s value %10.1f   per epoch: mean %6.2f ms, max %6.2f ms\n",
+            hub[k].name(), hub[k].snapshot(), hub.stats(k).mean_ms(),
+            hub.stats(k).max_ms);
+    if (mgr) {
+        const auto& ps = mgr->stats();
+        std::printf(
+            "  durability: %llu epochs logged (%.1f KiB), %llu fsyncs, "
+            "%llu checkpoints (%.1f KiB), log %.1f ms, ckpt %.1f ms\n",
+            static_cast<unsigned long long>(ps.epochs_logged),
+            static_cast<double>(ps.bytes_logged) / 1024.0,
+            static_cast<unsigned long long>(ps.fsyncs),
+            static_cast<unsigned long long>(ps.checkpoints),
+            static_cast<double>(ps.checkpoint_bytes) / 1024.0, ps.log_ms,
+            ps.checkpoint_ms);
+    }
+    if (mode.serving != nullptr) {
+        const auto& store = mode.serving->store;
+        std::printf(
+            "  snapshots published %llu (retained %zu, live %lld), "
             "current version %llu\n",
-            nnz, static_cast<unsigned long long>(store.published()),
+            static_cast<unsigned long long>(store.published()),
             store.retained(), static_cast<long long>(store.live_snapshots()),
             static_cast<unsigned long long>(
                 store.current_version().value_or(0)));
@@ -721,266 +528,213 @@ int main(int argc, char** argv) {
             obs::registry(), obs::EventLog::global(), std::move(rules), wcfg);
     }
 
+    // Declared before the introspection plane, whose handlers read them.
+    std::optional<ServingTier> serving;
+    if (serve_queries) serving.emplace(target_qps > 0);
+
     // The live introspection plane (--http-port=N; 0 binds an ephemeral
     // port, printed below for discovery). Rank 0 serves the federated
-    // cluster view once the streaming mode starts federating (global-
-    // registry fallback before that); a dedicated foreground watchdog runs
-    // the skew rules over each federated snapshot.
-    FederatedView fed_view;
-    obs::IntrospectionServer intro_server;
-    IntroContext intro_ctx;
-    std::unique_ptr<obs::Watchdog> fed_watchdog;
+    // cluster view once the ranks start federating (global-registry
+    // fallback before that).
+    std::unique_ptr<Intro> intro;
     if (http_enabled) {
         par::Profiler::set_trace_enabled(true);  // /trace serves the rings
-        fed_watchdog = std::make_unique<obs::Watchdog>(
-            obs::registry(), obs::EventLog::global(),
-            std::vector<obs::Rule>{
-                {"rank-load-imbalance", "stream_ops_applied_rank_imbalance",
-                 obs::RuleKind::GaugeAbove, 2.0, obs::HistField::P99, 3, 2,
-                 obs::Severity::Warning}});
-        intro_ctx.fed_view = &fed_view;
-        intro_ctx.fed_watchdog = fed_watchdog.get();
-        intro_ctx.stall_ms = induce_stall_ms;
-    }
-    const auto start_intro = [&](std::function<std::string()> status_fields,
-                                 std::function<std::string()> flight_json) {
-        if (!http_enabled) return;
+        intro = std::make_unique<Intro>();
+        intro->stall_ms = induce_stall_ms;
         obs::IntrospectionServer::Config icfg;
         icfg.http.port = static_cast<std::uint16_t>(http_port);
-        icfg.metrics_provider = [&fed_view] {
-            if (const auto fed = fed_view.get()) return *fed;
+        icfg.metrics_provider = [&intro] {
+            if (const auto fed = intro->fed.load()) return *fed;
             return obs::registry().snapshot();  // before the 1st federation
         };
-        icfg.status_fields = std::move(status_fields);
-        icfg.flight_json = std::move(flight_json);
+        icfg.status_fields = [&intro, &serving] {
+            char buf[320];
+            const int len = std::snprintf(
+                buf, sizeof buf,
+                "\"engine_version\": %llu, \"federations\": %llu",
+                static_cast<unsigned long long>(intro->engine_version.load()),
+                static_cast<unsigned long long>(intro->federations.load()));
+            if (serving)
+                std::snprintf(
+                    buf + len, sizeof buf - static_cast<std::size_t>(len),
+                    ", \"published_version\": %llu, "
+                    "\"snapshots_published\": %llu, \"live_snapshots\": %lld, "
+                    "\"retained\": %zu, \"queries_shed\": %llu, "
+                    "\"queries_pending\": %zu",
+                    static_cast<unsigned long long>(
+                        serving->store.current_version().value_or(0)),
+                    static_cast<unsigned long long>(serving->store.published()),
+                    static_cast<long long>(serving->store.live_snapshots()),
+                    serving->store.retained(),
+                    static_cast<unsigned long long>(
+                        serving->executor.shed_total()),
+                    serving->executor.pending());
+            return std::string(buf);
+        };
+        if (serving)
+            icfg.flight_json = [&serving] {
+                return serving->recorder.to_json();
+            };
         icfg.ready = !restore;  // recovery replay holds the gate down
-        intro_server.start(std::move(icfg));
-        intro_ctx.server = &intro_server;
+        intro->server.start(std::move(icfg));
         std::printf(
             "introspection: rank 0 serving http://127.0.0.1:%u (federated)\n",
-            intro_server.port());
+            intro->server.port());
         std::fflush(stdout);
-    };
+    }
 
-    const auto finish_observability = [&] {
-        // Shutdown ordering (mirrored by tests/obs/test_introspection.cpp):
-        // the HTTP plane drains its in-flight requests FIRST, while every
-        // structure its handlers read (stores, registries, callback gauges)
-        // is still alive; only then do the file sinks finalize.
-        intro_server.stop();
-        if (watchdog) {
-            watchdog->stop();
-            watchdog->evaluate_now();  // one final deterministic pass
+    // The hub mode, as data (see the header comment).
+    HubMode mode;
+    mode.wl.n = kHubN;
+    mode.wl.seed = restore ? 7'777 : 0;
+    mode.dir = checkpoint_dir;
+    mode.restore = restore;
+    mode.on_read = poll_hub;
+    if (serving) {
+        mode.title = "query serving";
+        mode.wl.scenario = stream::Scenario::ServingReadHeavy;
+        mode.wl.writes = writes > 0 ? writes : 2'000;
+        mode.wl.seed += 15'000;
+        mode.serving = &*serving;
+        const auto query_gap = std::chrono::microseconds(
+            static_cast<long>(1e6 / query_rate));
+        // Every read becomes a query of the mixed rotation, its analytics
+        // reads alternating between the two maintained metrics.
+        mode.on_read = [&serving, query_gap](const Hub&, std::uint64_t k,
+                                             index_t row, index_t col) {
+            serve::Query q = serve::mixed_query(k, row, col);
+            if (k % 8 == 7) q.metric = "distance-sum";
+            (void)serving->executor.submit(std::move(q));  // fire and forget
+            if (query_gap.count() > 0) std::this_thread::sleep_for(query_gap);
+        };
+    } else if (!checkpoint_dir.empty()) {
+        mode.title = "durable streaming";
+        mode.wl.scenario = stream::Scenario::CheckpointUnderLoad;
+        mode.wl.writes = writes > 0 ? writes : 20'000;
+        mode.wl.window = 600;
+        mode.wl.seed += 11'000;
+    } else {
+        mode.title = "live analytics";
+        mode.wl.scenario = stream::Scenario::AnalyticsRead;
+        mode.wl.writes = 3'000;
+        mode.wl.window = 400;
+        mode.wl.read_fraction = 0.3;
+        mode.wl.seed += 7'000;
+    }
+    const bool scenarios = !serving && checkpoint_dir.empty();
+
+    // The external paced client: fixed arrival schedule at --target-qps,
+    // on-arrival latency against --slo-ms, coordinated-omission-safe
+    // (serve/load_gen.hpp). It starts once the first snapshot is published
+    // so it measures serving, not attach.
+    std::atomic<bool> engine_done{false};
+    serve::LoadGenReport slo_rep;
+    std::thread paced_client;
+    if (serving && target_qps > 0) {
+        paced_client = std::thread([&] {
+            while (serving->store.published() == 0 &&
+                   !engine_done.load(std::memory_order_acquire))
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            serve::LoadGenConfig lg;
+            lg.target_qps = target_qps;
+            lg.total = static_cast<std::size_t>(
+                std::max(200.0, target_qps));  // ~1 s of traffic
+            lg.slo_ms = slo_ms;
+            slo_rep = serve::run_paced(
+                serving->executor, lg,
+                [](std::uint64_t k) { return serve::paced_query(k, kHubN); });
+        });
+    }
+
+    par::run_world(kRanks, [&](par::Comm& comm) {
+        core::ProcessGrid grid(comm);
+        if (scenarios) {
+            // Initial load: each rank contributes an equal slice of an R-MAT
+            // graph, indices permuted identically on all ranks for balance.
+            const index_t n = index_t{1} << kScale;
+            auto mine = graph::rmat_edges(
+                kScale, kInitialEdges / kRanks,
+                100 + static_cast<std::uint64_t>(comm.rank()));
+            sparse::IndexPermutation perm(n, 9999);
+            perm.apply(mine);
+            auto A = core::build_dynamic_matrix<SR>(grid, n, n, mine);
+            const std::size_t built_nnz = A.global_nnz();  // collective
+            if (comm.rank() == 0)
+                std::printf(
+                    "initial load: %zu non-zeros; streaming %d producers/rank, "
+                    "%zu writes each\n\n",
+                    built_nnz, kProducers, kWritesPerProducer);
+
+            par::Profiler::reset();
+            par::Profiler::set_enabled(true);
+            for (auto scenario :
+                 {stream::Scenario::SustainedUniform, stream::Scenario::Bursty,
+                  stream::Scenario::HotVertexSkew,
+                  stream::Scenario::SlidingWindowDelete,
+                  stream::Scenario::MixedReadWrite})
+                run_scenario(comm, A, scenario);
         }
-        if (exporter) exporter->stop();
-        if (trace_out.empty()) return;
+        run_hub(comm, grid, mode, intro.get());
+        par::Profiler::set_enabled(false);
+        if (comm.rank() == 0) obs::publish_comm_stats(comm.stats().snapshot());
+    });
+    engine_done.store(true, std::memory_order_release);
+    if (paced_client.joinable())
+        paced_client.join();  // tail queries: the final snapshot
+    if (serving) serving->executor.stop();
+
+    if (scenarios) {
+        std::printf("\nphase breakdown across all scenarios:\n");
+        for (auto ph : {par::Phase::StreamDrain, par::Phase::StreamApply,
+                        par::Phase::Analytics, par::Phase::RedistSort,
+                        par::Phase::RedistComm, par::Phase::MemManagement,
+                        par::Phase::LocalConstruct, par::Phase::LocalAddition})
+            std::printf("  %-18s %8.2f ms\n",
+                        std::string(par::phase_name(ph)).c_str(),
+                        par::Profiler::total_seconds(ph) * 1e3);
+        std::printf("\n");
+    }
+    if (serving && target_qps > 0) {
+        std::printf(
+            "paced client: %llu arrivals at %.0f qps (achieved %.0f), "
+            "on-arrival p50/p99/p999 %.2f/%.2f/%.2f ms, "
+            "%llu SLO violations (%.1f%%), max submit lateness %.2f ms\n",
+            static_cast<unsigned long long>(slo_rep.issued), target_qps,
+            slo_rep.achieved_qps, slo_rep.p50_ms, slo_rep.p99_ms,
+            slo_rep.p999_ms,
+            static_cast<unsigned long long>(slo_rep.slo_violations),
+            100.0 * slo_rep.violation_rate(), slo_rep.max_submit_lateness_ms);
+        const auto& rec = serving->recorder;
+        std::printf("slow-query flight recorder (%llu offered, worst "
+                    "%zu):\n%s\n",
+                    static_cast<unsigned long long>(rec.offered()),
+                    rec.worst().size(), rec.to_json().c_str());
+    }
+    // The final readout of the scenario and serving runs IS the registry:
+    // per-class serve_query_ns quantiles, cache counters, stream/persist
+    // instruments, one rendering instead of a hand-rolled table.
+    if (scenarios || serving)
+        std::fputs(obs::registry().snapshot().to_text().c_str(), stdout);
+    std::printf(serving            ? "serving run OK\n"
+                : scenarios        ? "streaming run OK\n"
+                                   : "durable run OK\n");
+
+    // Shutdown ordering (mirrored by tests/obs/test_introspection.cpp): the
+    // HTTP plane drains its in-flight requests FIRST, while every structure
+    // its handlers read (stores, registries, callback gauges) is still
+    // alive; only then do the file sinks finalize.
+    if (intro) intro->server.stop();
+    if (watchdog) {
+        watchdog->stop();
+        watchdog->evaluate_now();  // one final deterministic pass
+    }
+    if (exporter) exporter->stop();
+    if (!trace_out.empty()) {
         if (obs::write_chrome_trace(trace_out))
             std::printf("trace written to %s\n", trace_out.c_str());
         else
             std::fprintf(stderr, "cannot write trace to %s\n",
                          trace_out.c_str());
-    };
-
-    if (serve_queries) {
-        // The serving tier is process-wide: one store, one cache, one
-        // executor shared by every rank's producers (ranks are threads).
-        serve::StoreConfig scfg;
-        scfg.publish_every = 4;
-        scfg.retain = 3;
-        serve::SnapshotStore<double> store(scfg);
-        serve::ResultCache cache;
-        store.set_cache(&cache);
-        serve::FlightRecorder recorder(16);
-        serve::ExecutorConfig ecfg;
-        ecfg.pending_capacity = 4'096;
-        ecfg.deadline = std::chrono::milliseconds(250);
-        ecfg.cache = &cache;
-        ecfg.recorder = &recorder;
-        // The paced client needs the admission-controlled background path;
-        // the fire-and-forget producer queries work either way.
-        ecfg.background = target_qps > 0;
-        serve::QueryExecutor<double> executor(store, ecfg);
-
-        start_intro(
-            [&store, &executor, &intro_ctx] {
-                char buf[320];
-                std::snprintf(
-                    buf, sizeof buf,
-                    "\"engine_version\": %llu, \"published_version\": %llu, "
-                    "\"snapshots_published\": %llu, \"live_snapshots\": %lld, "
-                    "\"retained\": %zu, \"queries_shed\": %llu, "
-                    "\"queries_pending\": %zu, \"federations\": %llu",
-                    static_cast<unsigned long long>(
-                        intro_ctx.engine_version.load()),
-                    static_cast<unsigned long long>(
-                        store.current_version().value_or(0)),
-                    static_cast<unsigned long long>(store.published()),
-                    static_cast<long long>(store.live_snapshots()),
-                    store.retained(),
-                    static_cast<unsigned long long>(executor.shed_total()),
-                    executor.pending(),
-                    static_cast<unsigned long long>(
-                        intro_ctx.federations.load()));
-                return std::string(buf);
-            },
-            [&recorder] { return recorder.to_json(); });
-
-        // The external paced client: fixed arrival schedule at
-        // --target-qps, on-arrival latency against --slo-ms, coordinated-
-        // omission-safe (serve/load_gen.hpp). It starts once the first
-        // snapshot is published so it measures serving, not attach.
-        std::atomic<bool> engine_done{false};
-        serve::LoadGenReport slo_rep;
-        std::thread paced_client;
-        if (target_qps > 0) {
-            paced_client = std::thread([&] {
-                while (store.published() == 0 &&
-                       !engine_done.load(std::memory_order_acquire))
-                    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-                serve::LoadGenConfig lg;
-                lg.target_qps = target_qps;
-                lg.total = static_cast<std::size_t>(
-                    std::max(200.0, target_qps));  // ~1 s of traffic
-                lg.slo_ms = slo_ms;
-                const sparse::index_t n = 1024;  // run_serving's matrix
-                slo_rep = serve::run_paced(
-                    executor, lg, [&](std::uint64_t k) {
-                        std::uint64_t x = k * 6364136223846793005ull +
-                                          1442695040888963407ull;
-                        const auto row = static_cast<sparse::index_t>(
-                            (x >> 17) % static_cast<std::uint64_t>(n));
-                        const auto col = static_cast<sparse::index_t>(
-                            (x >> 41) % static_cast<std::uint64_t>(n));
-                        switch (k % 4) {
-                            case 0:
-                                return serve::Query{
-                                    serve::QueryKind::EdgeExists, row, col, 1,
-                                    ""};
-                            case 1:
-                                return serve::Query{serve::QueryKind::Degree,
-                                                    row, 0, 1, ""};
-                            case 2:
-                                return serve::Query{serve::QueryKind::KHop,
-                                                    row, 0, 2, ""};
-                            default:
-                                return serve::Query{
-                                    serve::QueryKind::AnalyticsRead, 0, 0, 1,
-                                    "triangles"};
-                        }
-                    });
-            });
-        }
-
-        const std::size_t serve_writes = writes > 0 ? writes : 2'000;
-        par::run_world(kRanks, [&](par::Comm& comm) {
-            core::ProcessGrid grid(comm);
-            run_serving(comm, grid, store, executor, checkpoint_dir, restore,
-                        serve_writes, query_rate,
-                        http_enabled ? &intro_ctx : nullptr);
-            if (comm.rank() == 0)
-                obs::publish_comm_stats(comm.stats().snapshot());
-        });
-        engine_done.store(true, std::memory_order_release);
-        if (paced_client.joinable())
-            paced_client.join();  // tail queries: the final snapshot
-        executor.stop();
-
-        if (target_qps > 0) {
-            std::printf(
-                "paced client: %llu arrivals at %.0f qps (achieved %.0f), "
-                "on-arrival p50/p99/p999 %.2f/%.2f/%.2f ms, "
-                "%llu SLO violations (%.1f%%), max submit lateness %.2f ms\n",
-                static_cast<unsigned long long>(slo_rep.issued), target_qps,
-                slo_rep.achieved_qps, slo_rep.p50_ms, slo_rep.p99_ms,
-                slo_rep.p999_ms,
-                static_cast<unsigned long long>(slo_rep.slo_violations),
-                100.0 * slo_rep.violation_rate(),
-                slo_rep.max_submit_lateness_ms);
-            std::printf("slow-query flight recorder (%llu offered, worst "
-                        "%zu):\n%s\n",
-                        static_cast<unsigned long long>(recorder.offered()),
-                        recorder.worst().size(), recorder.to_json().c_str());
-        }
-
-        // The final readout IS the registry: per-class serve_query_ns
-        // quantiles (p50/p99/p999 in ms), cache counters, stream/persist
-        // instruments — one rendering instead of a hand-rolled table.
-        std::fputs(obs::registry().snapshot().to_text().c_str(), stdout);
-        std::printf("serving run OK\n");
-        finish_observability();
-        return 0;
     }
-
-    if (!checkpoint_dir.empty()) {
-        start_intro(
-            [&intro_ctx] {
-                char buf[96];
-                std::snprintf(
-                    buf, sizeof buf, "\"engine_version\": %llu",
-                    static_cast<unsigned long long>(
-                        intro_ctx.engine_version.load()));
-                return std::string(buf);
-            },
-            {});
-        par::run_world(kRanks, [&](par::Comm& comm) {
-            core::ProcessGrid grid(comm);
-            run_durable(comm, grid, checkpoint_dir, restore,
-                        writes > 0 ? writes : 20'000,
-                        http_enabled ? &intro_ctx : nullptr);
-            if (comm.rank() == 0)
-                obs::publish_comm_stats(comm.stats().snapshot());
-        });
-        finish_observability();
-        return 0;
-    }
-
-    start_intro({}, {});
-    par::run_world(kRanks, [&](par::Comm& comm) {
-        core::ProcessGrid grid(comm);
-        const sparse::index_t n = sparse::index_t{1} << kScale;
-
-        // Initial load: each rank contributes an equal slice of an R-MAT
-        // graph, indices permuted identically on all ranks for balance.
-        auto mine = graph::rmat_edges(
-            kScale, kInitialEdges / kRanks,
-            100 + static_cast<std::uint64_t>(comm.rank()));
-        sparse::IndexPermutation perm(n, 9999);
-        perm.apply(mine);
-        auto A = core::build_dynamic_matrix<SR>(grid, n, n, mine);
-        const std::size_t built_nnz = A.global_nnz();  // collective
-        if (comm.rank() == 0)
-            std::printf(
-                "initial load: %zu non-zeros; streaming %d producers/rank, "
-                "%zu writes each\n\n",
-                built_nnz, kProducers, kWritesPerProducer);
-
-        par::Profiler::reset();
-        par::Profiler::set_enabled(true);
-        for (auto scenario :
-             {stream::Scenario::SustainedUniform, stream::Scenario::Bursty,
-              stream::Scenario::HotVertexSkew,
-              stream::Scenario::SlidingWindowDelete,
-              stream::Scenario::MixedReadWrite})
-            run_scenario(comm, A, scenario);
-        run_live_analytics(comm, grid);
-        par::Profiler::set_enabled(false);
-
-        if (comm.rank() == 0) {
-            std::printf("\nphase breakdown across all scenarios:\n");
-            for (auto ph :
-                 {par::Phase::StreamDrain, par::Phase::StreamApply,
-                  par::Phase::Analytics, par::Phase::RedistSort,
-                  par::Phase::RedistComm, par::Phase::MemManagement,
-                  par::Phase::LocalConstruct, par::Phase::LocalAddition}) {
-                std::printf("  %-18s %8.2f ms\n",
-                            std::string(par::phase_name(ph)).c_str(),
-                            par::Profiler::total_seconds(ph) * 1e3);
-            }
-            obs::publish_comm_stats(comm.stats().snapshot());
-            std::printf("\n%s",
-                        obs::registry().snapshot().to_text().c_str());
-        }
-    });
-    finish_observability();
     return 0;
 }

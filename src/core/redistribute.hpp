@@ -12,7 +12,9 @@
 // ADD, MERGE and MASK lists): redistribute_kinds gives every buffer one
 // segment per kind, so K kinds cost two alltoallvs, not 2K, and move exactly
 // the bytes of K one-kind exchanges. redistribute_tuples is the one-kind
-// case.
+// case. A phase whose communicator has one rank (either phase of a 1 x c or
+// r x 1 grid, everything on 1 x 1) moves nothing, so it passes its tuples
+// through in their order and issues no alltoallv.
 //
 // RedistMode::DirectSort is the competitor strategy the paper measures
 // against (CombBLAS-style): one comparison sort by destination rank followed
@@ -21,6 +23,7 @@
 
 #include <algorithm>
 #include <span>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -46,13 +49,25 @@ namespace detail {
 /// rank order and each source's order, in the vector the phase sorted.
 /// `kinds` is dropped once sorted: that frees the tuples where the phase
 /// owns them (a vector of vectors) and leaves a caller's span alone.
+/// On a one-rank `comm` every tuple stays, in its order: the phase passes
+/// each kind through and issues no collective.
 template <typename T, typename Kinds, typename KeyFn>
 std::vector<std::vector<Triple<T>>> route_phase(par::Comm& comm, Kinds kinds,
                                                 KeyFn&& key) {
     using par::Phase;
     using par::Profiler;
+    using Out = std::vector<std::vector<Triple<T>>>;
+    if (comm.size() == 1) {
+        if constexpr (std::is_same_v<Kinds, Out>) {
+            return kinds;
+        } else {
+            Out out;
+            for (const auto& k : kinds) out.emplace_back(k.begin(), k.end());
+            return out;
+        }
+    }
     const auto dests = static_cast<std::size_t>(comm.size());
-    std::vector<std::vector<Triple<T>>> sorted(kinds.size());
+    Out sorted(kinds.size());
     std::vector<std::vector<std::size_t>> offsets(kinds.size());
     {
         Profiler::Scope scope(Phase::RedistSort);

@@ -45,7 +45,7 @@ namespace dsg::obs {
         if (base_ns == 0 || s.start_ns < base_ns) base_ns = s.start_ns;
 
     // Flow producers: last Start span per flow id (re-publishes of one
-    // version, e.g. publish_on_attach, keep the newest).
+    // version, e.g. attach's initial snapshot, keep the newest).
     std::unordered_map<std::uint64_t, const par::TraceSpan*> starts;
     for (const par::TraceSpan& s : dump.spans)
         if (s.flow == par::FlowDir::Start && s.flow_id != 0)

@@ -107,10 +107,6 @@ public:
     Watchdog(const Watchdog&) = delete;
     Watchdog& operator=(const Watchdog&) = delete;
 
-    /// Appends a rule (not thread-safe against a running background loop;
-    /// add rules before start()).
-    void add_rule(Rule r) { states_.push_back(State{std::move(r)}); }
-
     /// Snapshots the registry and evaluates every rule once on the calling
     /// thread. Returns the number of events emitted.
     std::size_t evaluate_now() { return evaluate(reg_.snapshot()); }

@@ -45,9 +45,6 @@ struct PersistConfig {
     /// Take a checkpoint every N applied epochs (by version, so all ranks
     /// agree); 0 disables checkpoints (the log then grows unboundedly).
     std::uint64_t checkpoint_stride = 64;
-    /// Include the subscribed AnalyticsHub's state in checkpoints so
-    /// recovery restores maintained values bit-identically.
-    bool include_analytics = true;
 };
 
 /// One rank's durability accounting.
@@ -210,7 +207,7 @@ private:
 
         // 2. This rank's snapshot file (tmp + rename + fsync).
         par::Buffer extra;
-        if (hub_ != nullptr && cfg_.include_analytics) hub_->save_state(extra);
+        if (hub_ != nullptr) hub_->save_state(extra);
         write_checkpoint_file<T>(cfg_.dir, version, rank_,
                                  shape.grid().rows(), shape.grid().cols(),
                                  shape.nrows(), shape.ncols(), A_->local(),

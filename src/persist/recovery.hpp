@@ -103,7 +103,7 @@ RecoveryResult recover(core::DistDynamicMatrix<T>& A,
                 throw PersistError(
                     "an analytics hub was passed to recover() but the "
                     "checkpoint holds no analytics state (was it written "
-                    "with include_analytics = false, or without a hub?)");
+                    "by a durability manager without a hub?)");
             par::BufferReader r(ckpt.extra_state);
             hub->load_state(r);
         }

@@ -80,6 +80,28 @@ inline double percentile_of(std::vector<double>& sorted_ms, double q) {
 
 }  // namespace detail
 
+/// The mixed query rotation: the k-th read at (row, col) is edge-exists,
+/// degree, 2-hop or the triangle count by k mod 4.
+inline Query mixed_query(std::uint64_t k, sparse::index_t row,
+                         sparse::index_t col) {
+    switch (k % 4) {
+        case 0: return {QueryKind::EdgeExists, row, col, 1, ""};
+        case 1: return {QueryKind::Degree, row, 0, 1, ""};
+        case 2: return {QueryKind::KHop, row, 0, 2, ""};
+        default: return {QueryKind::AnalyticsRead, 0, 0, 1, "triangles"};
+    }
+}
+
+/// The paced client's k-th query over an n-vertex graph: the mixed rotation
+/// at keys walked pseudo-randomly, so cache hits come from key reuse, not
+/// a degenerate single key.
+inline Query paced_query(std::uint64_t k, sparse::index_t n) {
+    const std::uint64_t x = k * 6364136223846793005ull + 1442695040888963407ull;
+    const auto un = static_cast<std::uint64_t>(n);
+    return mixed_query(k, static_cast<sparse::index_t>((x >> 17) % un),
+                       static_cast<sparse::index_t>((x >> 41) % un));
+}
+
 /// Runs one paced load against `ex` (anything with
 /// submit(Query) -> std::future<QueryResult>; normally a QueryExecutor).
 /// `make(k)` produces the k-th query. Blocks until every issued query

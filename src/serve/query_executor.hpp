@@ -88,8 +88,6 @@ struct ExecutorConfig {
     std::size_t pending_capacity = 1024;
     /// Queries not started within this much of submit() expire unrun.
     std::chrono::milliseconds deadline{100};
-    /// Queries per dispatcher batch (one pool job per batch).
-    std::size_t batch_max = 64;
     /// Spawn the dispatcher thread. false = tests pump drain() manually.
     bool background = true;
     /// Shared pool for batch fan-out; nullptr evaluates on the
@@ -110,7 +108,6 @@ public:
 
     explicit QueryExecutor(const SnapshotStore<T>& store, Config cfg = {})
         : store_(&store), cfg_(cfg) {
-        if (cfg_.batch_max == 0) cfg_.batch_max = 1;
         // Registry instruments, one family per query class (fetched once so
         // the completion path never touches the registry). The latency
         // histograms give the runtime p50/p99/p999 per class that
@@ -242,6 +239,9 @@ public:
     }
 
 private:
+    /// Queries per dispatcher batch (one pool job per batch).
+    static constexpr std::size_t kBatchMax = 64;
+
     struct Pending {
         Query query;
         std::uint64_t fp = 0;
@@ -384,14 +384,14 @@ private:
         }
     }
 
-    /// Pops up to batch_max pending queries; with `wait` blocks until work
+    /// Pops up to kBatchMax pending queries; with `wait` blocks until work
     /// arrives or stop() is called.
     std::vector<Pending> take_batch(bool wait) {
         std::unique_lock lock(mx_);
         if (wait)
             cv_.wait(lock, [&] { return !pending_.empty() || stopping_; });
         std::vector<Pending> batch;
-        const std::size_t n = std::min(pending_.size(), cfg_.batch_max);
+        const std::size_t n = std::min(pending_.size(), kBatchMax);
         batch.reserve(n);
         for (std::size_t k = 0; k < n; ++k) {
             batch.push_back(std::move(pending_.front()));

@@ -245,10 +245,6 @@ struct StoreConfig {
     std::uint64_t publish_every = 4;
     /// Published versions the store itself keeps alive. Clamped to >= 1.
     std::size_t retain = 3;
-    /// Publish an initial snapshot during attach() (before any epoch),
-    /// so readers are never snapshot-less — including immediately after
-    /// recovery, where the initial version is the restored one.
-    bool publish_on_attach = true;
 };
 
 /// The store: owns the publication protocol and the retention window. See
@@ -281,9 +277,9 @@ public:
     void set_cache(ResultCache* cache) { cache_ = cache; }
 
     /// Collective: subscribes this rank to `engine`'s publication hook and
-    /// (by default) publishes the initial snapshot at the engine's starting
-    /// version. Every rank of the grid must call attach with its own engine
-    /// and matrix, before pumping starts; `hub`, when given, must be the
+    /// publishes the initial snapshot at the engine's starting version.
+    /// Every rank of the grid must call attach with its own engine and
+    /// matrix, before pumping starts; `hub`, when given, must be the
     /// rank's hub (rank 0's readouts are frozen — they are identical on
     /// every rank by the hub's collective contract).
     template <typename Engine>
@@ -316,8 +312,10 @@ public:
                 obs_live_->set(live_snapshots());
             }
         });
-        if (cfg_.publish_on_attach)
-            publish_now(A, rank, engine.config().initial_version);
+        // The initial snapshot, before any epoch: readers are never
+        // snapshot-less, also right after recovery, where the initial
+        // version is the restored one.
+        publish_now(A, rank, engine.config().initial_version);
     }
 
     /// Collective: freezes and publishes a snapshot of `A` at `version`

@@ -369,4 +369,26 @@ void drive_producer(Engine& engine, WorkloadProducer producer,
     engine.queue().producer_done();
 }
 
+/// One rank's producer fleet: registers all `producers` before any starts
+/// (so the queue cannot close early), runs WorkloadProducer(wl, p) through
+/// drive_producer on thread p with reads going to on_read(p, row, col),
+/// pumps engine.run() on the calling rank thread, then joins. Collective,
+/// as engine.run() is.
+template <typename Engine, typename OnRead>
+void run_producers(Engine& engine, const WorkloadConfig& wl, int producers,
+                   OnRead&& on_read) {
+    for (int p = 0; p < producers; ++p) engine.queue().register_producer();
+    std::vector<std::thread> threads;
+    threads.reserve(static_cast<std::size_t>(producers));
+    for (int p = 0; p < producers; ++p)
+        threads.emplace_back([&, p] {
+            drive_producer(engine, WorkloadProducer(wl, p),
+                           [&](sparse::index_t row, sparse::index_t col) {
+                               on_read(p, row, col);
+                           });
+        });
+    engine.run();
+    for (auto& t : threads) t.join();
+}
+
 }  // namespace dsg::stream

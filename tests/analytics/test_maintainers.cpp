@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -321,25 +320,14 @@ TEST_P(LiveAnalytics, MatchFromScratchRecomputationAfterEveryEpoch) {
         cfg.epoch_deadline = std::chrono::milliseconds(3);
         Engine engine(A, cfg);
         hub.attach(engine);
-        for (int prod = 0; prod < kProducers; ++prod)
-            engine.queue().register_producer();
-
-        std::vector<std::thread> producers;
-        for (int prod = 0; prod < kProducers; ++prod) {
-            producers.emplace_back([&, prod] {
-                stream::drive_producer(
-                    engine, stream::WorkloadProducer(wl, prod),
-                    [&](index_t, index_t) {
-                        // Concurrent snapshot readers polling derived values
-                        // under sustained ingestion.
-                        (void)tri.snapshot();
-                        (void)dist.snapshot();
-                        (void)contr.snapshot();
-                    });
+        stream::run_producers(
+            engine, wl, kProducers, [&](int, index_t, index_t) {
+                // Concurrent snapshot readers polling derived values under
+                // sustained ingestion.
+                (void)tri.snapshot();
+                (void)dist.snapshot();
+                (void)contr.snapshot();
             });
-        }
-        engine.run();
-        for (auto& t : producers) t.join();
 
         // Every applied epoch was verified, and there were several.
         EXPECT_EQ(static_cast<std::uint64_t>(checker.snapshot()),

@@ -226,6 +226,27 @@ TEST(Redistribute, RectangularGridMatchesSingleRankReference) {
     }
 }
 
+// On a 1 x 3 grid every process column holds one rank, so phase 1 has no
+// peer: it passes the tuples through, and each rank issues only phase 2's
+// alltoallv.
+TEST(Redistribute, OneRankPhaseIssuesNoCollective) {
+    run_world(3, [&](Comm& c) {
+        ProcessGrid grid(c, 1, 3);
+        core::DistDynamicMatrix<double> holder(grid, 37, 23);
+        std::mt19937_64 rng(7 + static_cast<std::uint64_t>(c.rank()));
+        const auto ts = random_triples(rng, 37, 23, 40);
+        const std::vector<std::span<const Triple<double>>> kinds = {ts, ts};
+        c.barrier();
+        const auto before = c.stats().snapshot().collectives;
+        c.barrier();
+        (void)core::redistribute_kinds<double>(grid, holder.shape(), kinds);
+        c.barrier();
+        if (c.rank() == 0) {
+            EXPECT_EQ(c.stats().snapshot().collectives - before, 3u);
+        }
+    });
+}
+
 TEST(Redistribute, TwoPhaseTouchesOnlyRowAndColPeersPerPhase) {
     // The two-phase exchange runs over the row/column communicators (4 ranks
     // each on the 4x4 grid p = 16 auto-factors to); the alltoall volume must

@@ -46,18 +46,8 @@ void stream_with_durability(par::Comm& comm, Engine& engine,
     wl.writes = writes;
     wl.window = 96;
     wl.seed = seed_base + 13 * static_cast<std::uint64_t>(comm.rank());
-
-    for (int prod = 0; prod < kProducers; ++prod)
-        engine.queue().register_producer();
-    std::vector<std::thread> producers;
-    for (int prod = 0; prod < kProducers; ++prod)
-        producers.emplace_back([&engine, wl, prod] {
-            stream::drive_producer(engine,
-                                   stream::WorkloadProducer(wl, prod),
-                                   [](index_t, index_t) {});
-        });
-    engine.run();
-    for (auto& t : producers) t.join();
+    stream::run_producers(engine, wl, kProducers,
+                          [](int, index_t, index_t) {});
 }
 
 /// The core property, one (grid shape, scenario) cell: a full durable run,
